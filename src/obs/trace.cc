@@ -331,8 +331,8 @@ void TraceLog::Emit(std::string cat, std::string name, int actor,
   // Self-cost timing is itself sampled (every 13th recorded event, scaled
   // back up): a clock-read pair costs as much as storing the event, so
   // timing each one would double the overhead the meter exists to expose.
-  // The stride is prime so it can't alias the event vector's power-of-two
-  // reallocation points (which would attribute every realloc to a timed
+  // The stride is prime so it can't alias the event store's fixed-size
+  // block allocations (which would attribute every allocation to a timed
   // event and overstate the extrapolation).
   const bool timed = self_cost_.events_recorded % 13 == 0;
   const auto start = timed ? std::chrono::steady_clock::now()
@@ -369,7 +369,7 @@ std::size_t TraceLog::size() const {
 
 std::vector<TraceEvent> TraceLog::events() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  return {events_.begin(), events_.end()};
 }
 
 void TraceLog::AppendEventJson(const TraceEvent& event, std::ostream& out) {

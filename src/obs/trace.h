@@ -2,6 +2,7 @@
 #define SGM_OBS_TRACE_H_
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -182,7 +183,9 @@ class TraceLog {
   std::uint64_t sample_seed_ = 0;
   FlightRecorder* flight_ = nullptr;
   mutable SelfCost self_cost_;
-  std::vector<TraceEvent> events_;
+  /// Recorded events. A deque never moves what it already holds, so a long
+  /// run's emits stay O(1) instead of periodically copying the whole log.
+  std::deque<TraceEvent> events_;
 };
 
 /// Validates one JSONL trace line against the event schema: structural keys

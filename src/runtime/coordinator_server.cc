@@ -220,9 +220,9 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
         ++site_messages_received_;
         site_bytes_received_ += WireBytes(message);
       }
-      std::vector<RuntimeMessage> fresh;
-      reliable_->OnDeliver(kCoordinatorId, message, &fresh);
-      for (const RuntimeMessage& m : fresh) coordinator_->OnMessage(m);
+      fresh_.clear();
+      reliable_->OnDeliver(kCoordinatorId, message, &fresh_);
+      for (const RuntimeMessage& m : fresh_) coordinator_->OnMessage(m);
       return true;
     }
   }

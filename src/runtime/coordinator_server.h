@@ -247,6 +247,8 @@ class CoordinatorServer {
   SocketTransport transport_;
   std::unique_ptr<ReliableTransport> reliable_;
   std::unique_ptr<CoordinatorNode> coordinator_;
+  /// HandleFrame's delivery buffer, reused across frames (guarded by mu_).
+  std::vector<RuntimeMessage> fresh_;
 
   int listen_fd_ = -1;
   int bound_port_ = 0;

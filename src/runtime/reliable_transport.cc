@@ -1,6 +1,7 @@
 #include "runtime/reliable_transport.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "core/check.h"
 #include "obs/telemetry.h"
@@ -16,7 +17,12 @@ ReliableTransport::ReliableTransport(Transport* lower, int num_sites,
       config_(config),
       telemetry_(telemetry),
       rng_(config.seed),
-      link_up_(num_sites, true) {
+      link_up_(num_sites, true),
+      next_seq_(num_sites + 1, 0),
+      in_flight_(num_sites + 1),
+      busy_senders_(static_cast<std::size_t>(num_sites) / 64 + 1, 0),
+      pending_per_dest_(num_sites + 1, 0),
+      seen_(2 * static_cast<std::size_t>(num_sites)) {
   SGM_CHECK(lower != nullptr);
   SGM_CHECK(num_sites > 0);
   SGM_CHECK(config.max_retransmits >= 0);
@@ -53,22 +59,87 @@ long ReliableTransport::NextBackoff(int attempts) {
   return backoff + static_cast<long>(rng_.NextBounded(2));
 }
 
+int ReliableTransport::Slot(int endpoint) const {
+  SGM_CHECK_MSG(endpoint >= kCoordinatorId && endpoint < num_sites_,
+                "endpoint %d outside the %d-site topology", endpoint,
+                num_sites_);
+  return endpoint + 1;
+}
+
+bool ReliableTransport::Awaits(const InFlight& entry, int dest) {
+  if (dest < kCoordinatorId) return false;
+  const auto bit = static_cast<std::size_t>(dest + 1);
+  return bit / 64 < entry.awaiting.size() &&
+         ((entry.awaiting[bit / 64] >> (bit % 64)) & 1) != 0;
+}
+
+void ReliableTransport::AddAwait(InFlight* entry, int dest) const {
+  const auto bit = static_cast<std::size_t>(Slot(dest));
+  if (bit / 64 >= entry->awaiting.size()) {
+    entry->awaiting.resize(bit / 64 + 1, 0);
+  }
+  const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+  if ((entry->awaiting[bit / 64] & mask) == 0) {
+    entry->awaiting[bit / 64] |= mask;
+    ++entry->awaiting_count;
+  }
+}
+
+template <typename Visit>
+void ReliableTransport::ForEachAwaited(const InFlight& entry, Visit visit) {
+  for (std::size_t word = 0; word < entry.awaiting.size(); ++word) {
+    for (std::uint64_t bits = entry.awaiting[word]; bits != 0;
+         bits &= bits - 1) {
+      visit(static_cast<int>(word * 64 + std::countr_zero(bits)) - 1);
+    }
+  }
+}
+
 bool ReliableTransport::ReleaseAwait(InFlight* entry, int dest) {
-  if (entry->awaiting.erase(dest) > 0) --pending_per_dest_[dest];
-  return entry->awaiting.empty();
+  if (!Awaits(*entry, dest)) return false;
+  const auto bit = static_cast<std::size_t>(dest + 1);
+  entry->awaiting[bit / 64] &= ~(std::uint64_t{1} << (bit % 64));
+  --pending_per_dest_[bit];
+  if (--entry->awaiting_count > 0) return false;
+  --live_in_flight_;
+  return true;
+}
+
+void ReliableTransport::PopResolved(std::size_t slot) {
+  SlidingQueue<InFlight>& queue = in_flight_[slot];
+  while (!queue.empty() && queue.front().awaiting_count == 0) {
+    queue.pop_front();
+  }
+  if (queue.empty()) {
+    busy_senders_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+  }
+}
+
+std::size_t ReliableTransport::NextBusySender(std::size_t slot) const {
+  std::size_t word = slot / 64;
+  if (word >= busy_senders_.size()) return in_flight_.size();
+  std::uint64_t bits = busy_senders_[word] & (~std::uint64_t{0} << (slot % 64));
+  while (bits == 0) {
+    if (++word == busy_senders_.size()) return in_flight_.size();
+    bits = busy_senders_[word];
+  }
+  return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
 void ReliableTransport::EvictOldestFor(int dest) {
-  for (auto it = in_flight_.begin(); it != in_flight_.end(); ++it) {
-    if (it->second.awaiting.count(dest) == 0) continue;
-    ++stats_.queue_evictions;
-    if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("reliability", "queue_evict",
-                             it->second.message.from,
-                             {{"dest", dest}, {"seq", it->second.message.seq}});
+  for (std::size_t slot = NextBusySender(0); slot < in_flight_.size();
+       slot = NextBusySender(slot + 1)) {
+    for (InFlight& entry : in_flight_[slot]) {
+      if (!Awaits(entry, dest)) continue;
+      ++stats_.queue_evictions;
+      if (telemetry_ != nullptr) {
+        telemetry_->trace.Emit("reliability", "queue_evict",
+                               entry.message.from,
+                               {{"dest", dest}, {"seq", entry.message.seq}});
+      }
+      if (ReleaseAwait(&entry, dest)) PopResolved(slot);
+      return;
     }
-    if (ReleaseAwait(&it->second, dest)) in_flight_.erase(it);
-    return;
   }
 }
 
@@ -77,21 +148,22 @@ void ReliableTransport::MarkLinkDown(int site) {
   link_up_[site] = false;
   // Release every pending expectation on the dead link; entries whose last
   // awaited destination this was complete immediately.
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    it = ReleaseAwait(&it->second, site) ? in_flight_.erase(it)
-                                         : std::next(it);
+  for (std::size_t slot = NextBusySender(0); slot < in_flight_.size();
+       slot = NextBusySender(slot + 1)) {
+    for (InFlight& entry : in_flight_[slot]) ReleaseAwait(&entry, site);
+    PopResolved(slot);
   }
 }
 
 void ReliableTransport::AbandonSender(int sender) {
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    if (it->first.first != sender) {
-      ++it;
-      continue;
-    }
-    for (int dest : it->second.awaiting) --pending_per_dest_[dest];
-    it = in_flight_.erase(it);
+  const auto slot = static_cast<std::size_t>(Slot(sender));
+  for (const InFlight& entry : in_flight_[slot]) {
+    if (entry.awaiting_count == 0) continue;
+    ForEachAwaited(entry, [this](int dest) { --pending_per_dest_[dest + 1]; });
+    --live_in_flight_;
   }
+  in_flight_[slot].clear();
+  PopResolved(slot);
 }
 
 void ReliableTransport::MarkLinkUp(int site) {
@@ -107,35 +179,39 @@ void ReliableTransport::Send(const RuntimeMessage& message) {
     lower_->Send(message);
     return;
   }
+  const auto sender = static_cast<std::size_t>(Slot(message.from));
   RuntimeMessage stamped = message;
-  stamped.seq = ++next_seq_[message.from];
+  stamped.seq = ++next_seq_[sender];
   stamped.retransmit = false;
 
   InFlight entry;
-  entry.message = stamped;
   if (stamped.to == kBroadcastId) {
+    entry.awaiting.resize(static_cast<std::size_t>(num_sites_) / 64 + 1, 0);
     for (int site = 0; site < num_sites_; ++site) {
-      if (link_up_[site]) entry.awaiting.insert(site);
+      if (link_up_[site]) AddAwait(&entry, site);
     }
-  } else if (stamped.to >= 0 && !link_up_[stamped.to]) {
+  } else if (stamped.to >= 0 && stamped.to < num_sites_ &&
+             !link_up_[stamped.to]) {
     // Administratively-down destination: best-effort, no tracking (the
     // rejoin machinery owns resynchronization).
   } else {
-    entry.awaiting.insert(stamped.to);
+    AddAwait(&entry, stamped.to);
   }
-  if (!entry.awaiting.empty()) {
+  if (entry.awaiting_count > 0) {
     ++stats_.tracked_sends;
     entry.due_round = round_ + NextBackoff(0);
-    for (int dest : entry.awaiting) {
+    ForEachAwaited(entry, [this](int dest) {
       // Per-peer queue cap: free a slot before claiming one, so the newest
       // message (the one the protocol currently cares about) always tracks.
-      if (pending_per_dest_[dest] >= config_.max_in_flight_per_peer) {
+      if (pending_per_dest_[dest + 1] >= config_.max_in_flight_per_peer) {
         EvictOldestFor(dest);
       }
-      ++pending_per_dest_[dest];
-    }
-    in_flight_.emplace(std::make_pair(stamped.from, stamped.seq),
-                       std::move(entry));
+      ++pending_per_dest_[dest + 1];
+    });
+    entry.message = stamped;
+    in_flight_[sender].push_back(std::move(entry));
+    busy_senders_[sender / 64] |= std::uint64_t{1} << (sender % 64);
+    ++live_in_flight_;
   }
   if (telemetry_ != nullptr && stamped.span != 0 &&
       !SpanUnsampled(stamped.span)) {
@@ -165,11 +241,27 @@ void ReliableTransport::Ack(int receiver, const RuntimeMessage& message) {
   lower_->Send(ack);
 }
 
-void ReliableTransport::Resolve(std::int64_t sender, std::int64_t seq,
-                                int receiver) {
-  const auto it = in_flight_.find({static_cast<int>(sender), seq});
-  if (it == in_flight_.end()) return;
-  if (ReleaseAwait(&it->second, receiver)) in_flight_.erase(it);
+void ReliableTransport::Resolve(int sender, std::int64_t seq, int receiver) {
+  if (sender < kCoordinatorId || sender >= num_sites_) return;
+  const auto slot = static_cast<std::size_t>(Slot(sender));
+  SlidingQueue<InFlight>& queue = in_flight_[slot];
+  InFlight* it = std::lower_bound(
+      queue.begin(), queue.end(), seq,
+      [](const InFlight& entry, std::int64_t s) {
+        return entry.message.seq < s;
+      });
+  if (it == queue.end() || it->message.seq != seq) return;
+  if (ReleaseAwait(it, receiver)) PopResolved(slot);
+}
+
+ReliableTransport::SeenWindow& ReliableTransport::Window(int receiver,
+                                                         int sender) {
+  const int site = receiver == kCoordinatorId ? sender : receiver;
+  SGM_CHECK_MSG((receiver == kCoordinatorId) != (sender == kCoordinatorId) &&
+                    site >= 0 && site < num_sites_,
+                "link %d -> %d does not end at the coordinator", sender,
+                receiver);
+  return seen_[receiver == kCoordinatorId ? site : num_sites_ + site];
 }
 
 void ReliableTransport::OnDeliver(int receiver, const RuntimeMessage& message,
@@ -185,9 +277,15 @@ void ReliableTransport::OnDeliver(int receiver, const RuntimeMessage& message,
     return;
   }
 
-  SeenWindow& window = seen_[{receiver, message.from}];
-  const bool duplicate =
-      message.seq <= window.floor || window.above.count(message.seq) > 0;
+  SeenWindow& window = Window(receiver, message.from);
+  SlidingQueue<std::int64_t>& above = window.above;
+  // In-order arrival (the common case) lands past the newest seen seq.
+  const std::int64_t* pos =
+      above.empty() || message.seq > above.back()
+          ? above.end()
+          : std::lower_bound(above.begin(), above.end(), message.seq);
+  const bool duplicate = message.seq <= window.floor ||
+                         (pos != above.end() && *pos == message.seq);
   if (duplicate) {
     ++stats_.duplicates_suppressed;
     if (telemetry_ != nullptr) {
@@ -197,13 +295,12 @@ void ReliableTransport::OnDeliver(int receiver, const RuntimeMessage& message,
     Ack(receiver, message);  // the previous ack may have been lost
     return;
   }
-  window.above.insert(message.seq);
-  while (window.above.size() >
-         static_cast<std::size_t>(config_.dedup_window)) {
+  above.insert(pos, message.seq);
+  while (above.size() > static_cast<std::size_t>(config_.dedup_window)) {
     // Compact: promote the lowest retained seq into the floor. Anything
     // older than the window is long past its retransmission horizon.
-    window.floor = *window.above.begin();
-    window.above.erase(window.above.begin());
+    window.floor = above.front();
+    above.pop_front();
     ++stats_.dedup_evictions;
   }
   Ack(receiver, message);
@@ -217,52 +314,55 @@ void ReliableTransport::AdvanceRound() {
   round_ = config_.round_clock != nullptr
                ? std::max(round_, config_.round_clock->AdvanceRound())
                : round_ + 1;
+  if (live_in_flight_ == 0) return;
   // Handlers can re-enter (MarkLinkDown mutates in_flight_), so collect the
-  // exhausted links during the sweep and report them after it.
+  // exhausted links during the sweep and report them after it. The sweep
+  // runs in (sender, seq) order, which fixes the order of NextBackoff draws.
   std::vector<std::pair<int, RuntimeMessage>> exhausted_links;
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    InFlight& entry = it->second;
-    if (entry.due_round > round_) {
-      ++it;
-      continue;
-    }
-    if (entry.attempts >= config_.max_retransmits) {
-      // Exhausted: report still-awaited site links as dead and abandon.
-      ++stats_.give_ups;
-      if (telemetry_ != nullptr) {
-        telemetry_->trace.Emit(
-            "reliability", "give_up", entry.message.from,
-            {{"sender", entry.message.from}, {"seq", entry.message.seq}});
+  for (std::size_t slot = NextBusySender(0); slot < in_flight_.size();
+       slot = NextBusySender(slot + 1)) {
+    for (InFlight& entry : in_flight_[slot]) {
+      if (entry.awaiting_count == 0 || entry.due_round > round_) continue;
+      if (entry.attempts >= config_.max_retransmits) {
+        // Exhausted: report still-awaited site links as dead and abandon.
+        ++stats_.give_ups;
+        if (telemetry_ != nullptr) {
+          telemetry_->trace.Emit(
+              "reliability", "give_up", entry.message.from,
+              {{"sender", entry.message.from}, {"seq", entry.message.seq}});
+        }
+        ForEachAwaited(entry, [&](int dest) {
+          --pending_per_dest_[dest + 1];
+          if (dest >= 0) exhausted_links.emplace_back(dest, entry.message);
+        });
+        entry.awaiting.clear();
+        entry.awaiting_count = 0;
+        --live_in_flight_;
+        continue;
       }
-      for (int site : entry.awaiting) {
-        --pending_per_dest_[site];
-        if (site >= 0) exhausted_links.emplace_back(site, entry.message);
-      }
-      it = in_flight_.erase(it);
-      continue;
-    }
-    ++entry.attempts;
-    entry.due_round = round_ + NextBackoff(entry.attempts);
-    for (int dest : entry.awaiting) {
-      RuntimeMessage copy = entry.message;
-      copy.retransmit = true;
+      ++entry.attempts;
+      entry.due_round = round_ + NextBackoff(entry.attempts);
       // A broadcast retransmits as unicast copies to the missing sites
       // only; dedup on the receiver keys by (sender, seq), so overlap with
       // the original broadcast is suppressed.
-      copy.to = dest;
-      ++stats_.retransmissions;
-      if (telemetry_ != nullptr && !SpanUnsampled(copy.span)) {
-        telemetry_->trace.Emit(
-            "reliability", "retransmit", copy.from,
-            {{"sender", copy.from},
-             {"seq", copy.seq},
-             {"attempt", entry.attempts},
-             {"span", copy.span},
-             {"bytes", static_cast<std::int64_t>(WireBytes(copy))}});
-      }
-      lower_->Send(copy);
+      RuntimeMessage copy = entry.message;
+      copy.retransmit = true;
+      ForEachAwaited(entry, [&](int dest) {
+        copy.to = dest;
+        ++stats_.retransmissions;
+        if (telemetry_ != nullptr && !SpanUnsampled(copy.span)) {
+          telemetry_->trace.Emit(
+              "reliability", "retransmit", copy.from,
+              {{"sender", copy.from},
+               {"seq", copy.seq},
+               {"attempt", entry.attempts},
+               {"span", copy.span},
+               {"bytes", static_cast<std::int64_t>(WireBytes(copy))}});
+        }
+        lower_->Send(copy);
+      });
     }
-    ++it;
+    PopResolved(slot);
   }
   if (dead_link_handler_) {
     for (const auto& [site, message] : exhausted_links) {

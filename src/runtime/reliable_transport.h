@@ -1,10 +1,10 @@
 #ifndef SGM_RUNTIME_RELIABLE_TRANSPORT_H_
 #define SGM_RUNTIME_RELIABLE_TRANSPORT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -37,8 +37,12 @@ struct ReliableTransportConfig {
   /// a dead link the failure detector has not yet condemned, or a crashed
   /// coordinator — cannot grow the retransmit queue without bound.
   int max_in_flight_per_peer = 256;
-  /// Receive-side dedup window per (receiver, sender) pair: seqs retained
-  /// above the compaction floor. Duplicates arrive within
+  /// Receive-side dedup window per link: seqs retained above the compaction
+  /// floor. The window holds the seen seqs themselves, not a bitmask over
+  /// a seq range: the coordinator's seqs are shared by all its
+  /// destinations, so a range window would take a late retransmit to one
+  /// site for a duplicate — ack it and lose it — once dedup_window other
+  /// coordinator seqs passed during its backoff. Duplicates arrive within
   /// max_delay + max_backoff * max_retransmits rounds of the original — a
   /// handful of messages — so the default is orders of magnitude above the
   /// correctness requirement while keeping memory bounded.
@@ -73,6 +77,16 @@ struct ReliableTransportConfig {
 /// fault-free network nothing is ever retransmitted and the
 /// paper-comparable counters are byte-identical to a wiring without this
 /// layer (the transport-parity stress leg enforces this).
+///
+/// State layout: the protocol is a star — every link has the coordinator at
+/// one end — and site ids are dense, so all per-endpoint and per-link state
+/// lives in arrays indexed by id, not in ordered maps. Each sender keeps its
+/// tracked messages in one queue in seq order (acks find their entry by
+/// binary search), each entry's unacked destinations are a bitset plus a
+/// count, and each of the 2N links keeps its own dedup window. Sweeps visit
+/// senders in id order and each queue in seq order — the (sender, seq)
+/// order that fixes the sequence of jitter draws, so seeded replays stay
+/// byte-identical.
 class ReliableTransport final : public Transport {
  public:
   /// Point-in-time view of the layer's activity counters: one struct
@@ -128,7 +142,7 @@ class ReliableTransport final : public Transport {
 
   /// True while any tracked message still awaits an ack — the driver must
   /// keep advancing rounds before declaring the network quiescent.
-  bool HasUnacked() const { return !in_flight_.empty(); }
+  bool HasUnacked() const { return live_in_flight_ > 0; }
 
   /// Marks a site link administratively down (failure detector verdict):
   /// pending expectations on it are released, and it is excluded from
@@ -162,25 +176,97 @@ class ReliableTransport final : public Transport {
   void PublishMetrics(MetricRegistry* registry) const;
 
  private:
+  /// A vector used as a FIFO: pop_front advances a head index, a drained
+  /// queue resets in place (keeping its capacity), and the dead prefix is
+  /// reclaimed only once it outgrows the live part. A pop is O(1)
+  /// amortized, and a queue that drains between bursts — the common case —
+  /// never moves an element.
+  template <typename T>
+  class SlidingQueue {
+   public:
+    bool empty() const { return head_ == items_.size(); }
+    std::size_t size() const { return items_.size() - head_; }
+    T* begin() { return items_.data() + head_; }
+    T* end() { return items_.data() + items_.size(); }
+    T& front() { return items_[head_]; }
+    T& back() { return items_.back(); }
+    void push_back(T item) { items_.push_back(std::move(item)); }
+    /// Inserts before `pos` (an iterator into [begin(), end()]).
+    void insert(const T* pos, T item) {
+      items_.insert(items_.begin() + (pos - items_.data()), std::move(item));
+    }
+    void pop_front() {
+      if (++head_ == items_.size()) {
+        clear();
+      } else if (head_ * 2 > items_.size()) {
+        items_.erase(items_.begin(),
+                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+    void clear() {
+      items_.clear();
+      head_ = 0;
+    }
+
+   private:
+    std::vector<T> items_;
+    std::size_t head_ = 0;
+  };
+
+  /// One tracked message. Its unacked destinations are a bitset over
+  /// endpoint slots (bit `dest + 1`, so the coordinator is bit 0), sized to
+  /// the highest destination, plus the count of set bits. An entry whose
+  /// count reaches zero is resolved: it stays in its sender's queue as a
+  /// hole until it reaches the front, where it is popped.
   struct InFlight {
-    RuntimeMessage message;       ///< original, retransmit flag unset
-    std::set<int> awaiting;       ///< destinations yet to ack
-    int attempts = 0;             ///< retransmissions performed so far
-    long due_round = 0;           ///< next retransmission round
+    RuntimeMessage message;               ///< original, retransmit flag unset
+    std::vector<std::uint64_t> awaiting;  ///< destinations yet to ack
+    int awaiting_count = 0;               ///< set bits in `awaiting`
+    int attempts = 0;                     ///< retransmissions performed so far
+    long due_round = 0;                   ///< next retransmission round
+  };
+
+  /// Receive-side dedup state of one link: every seq <= floor is seen, and
+  /// `above` holds the seen seqs > floor in ascending order, at most
+  /// dedup_window of them. In-order arrival appends; compaction pops the
+  /// lowest seq into the floor.
+  struct SeenWindow {
+    std::int64_t floor = 0;
+    SlidingQueue<std::int64_t> above;
   };
 
   static bool Tracked(const RuntimeMessage& message);
+  /// Dense index of an endpoint (kCoordinatorId → 0, site i → i + 1).
+  int Slot(int endpoint) const;
   long NextBackoff(int attempts);
   void Ack(int receiver, const RuntimeMessage& message);
-  void Resolve(std::int64_t key_sender, std::int64_t seq, int receiver);
+  void Resolve(int sender, std::int64_t seq, int receiver);
+  static bool Awaits(const InFlight& entry, int dest);
+  void AddAwait(InFlight* entry, int dest) const;
+  /// Calls `visit(dest)` for each destination the entry still awaits, in
+  /// ascending id order (the coordinator first).
+  template <typename Visit>
+  static void ForEachAwaited(const InFlight& entry, Visit visit);
   /// Releases `dest` from an entry's awaiting set, maintaining the per-peer
-  /// pending count. Returns true if the set is now empty.
+  /// pending count and the live-entry count. Returns true if the entry is
+  /// now resolved.
   bool ReleaseAwait(InFlight* entry, int dest);
+  /// Pops resolved entries off the front of the queue at `slot`, and marks
+  /// the sender idle once its queue is empty.
+  void PopResolved(std::size_t slot);
+  /// The first sender slot >= `slot` with a non-empty queue, or
+  /// in_flight_.size() if none. Sweeps step through senders with it, so
+  /// idle endpoints cost a bit test, not a visit.
+  std::size_t NextBusySender(std::size_t slot) const;
   /// Frees one queue slot for `dest` by evicting the oldest in-flight
-  /// expectation on it (oldest in (sender, seq) key order — per sender that
-  /// is send order, which is what matters: entries piling up on one peer
-  /// come from the one endpoint still talking to it).
+  /// expectation on it (oldest in (sender, seq) order — per sender that is
+  /// send order, which is what matters: entries piling up on one peer come
+  /// from the one endpoint still talking to it).
   void EvictOldestFor(int dest);
+  /// The dedup window of the link `sender` → `receiver`. Every link has the
+  /// coordinator at one end.
+  SeenWindow& Window(int receiver, int sender);
 
   Transport* lower_;
   int num_sites_;
@@ -190,22 +276,23 @@ class ReliableTransport final : public Transport {
   std::function<void(int, const RuntimeMessage&)> dead_link_handler_;
 
   std::vector<bool> link_up_;
-  /// Next sequence number per sender endpoint (site id, or kCoordinatorId).
-  std::map<int, std::int64_t> next_seq_;
-  /// Tracked unacked messages, keyed (sender, seq).
-  std::map<std::pair<int, std::int64_t>, InFlight> in_flight_;
-  /// In-flight expectations per destination (site id or kCoordinatorId),
-  /// bounded by max_in_flight_per_peer via eviction.
-  std::map<int, long> pending_per_dest_;
-
-  /// Receive-side dedup, keyed (receiver, sender): seqs already delivered.
-  /// Compacted to a floor + sliding window (duplicates arrive within a
-  /// bounded number of rounds, so the window never misjudges).
-  struct SeenWindow {
-    std::int64_t floor = 0;       ///< seqs <= floor are all seen
-    std::set<std::int64_t> above; ///< seen seqs > floor
-  };
-  std::map<std::pair<int, int>, SeenWindow> seen_;
+  // Per-endpoint state below is indexed by Slot(): the coordinator at 0,
+  // site i at i + 1.
+  /// Next sequence number per sender endpoint.
+  std::vector<std::int64_t> next_seq_;
+  /// Tracked messages per sender endpoint, in seq order. The front entry of
+  /// every queue is unresolved; resolved entries further back are holes.
+  std::vector<SlidingQueue<InFlight>> in_flight_;
+  /// Bit s set ⇔ in_flight_[s] is non-empty.
+  std::vector<std::uint64_t> busy_senders_;
+  /// Unresolved entries across all queues.
+  long live_in_flight_ = 0;
+  /// In-flight expectations per destination endpoint, bounded by
+  /// max_in_flight_per_peer via eviction.
+  std::vector<long> pending_per_dest_;
+  /// Receive-side dedup windows: [site] for site → coordinator links,
+  /// [num_sites + site] for coordinator → site links.
+  std::vector<SeenWindow> seen_;
 
   long round_ = 0;
   Stats stats_;

@@ -39,14 +39,14 @@ bool SimTransport::FaultsApplyTo(const RuntimeMessage& message) const {
 }
 
 Rng& SimTransport::LinkRng(int site) {
-  auto it = link_rngs_.find(site);
-  if (it == link_rngs_.end()) {
-    it = link_rngs_
-             .emplace(site, Rng(DeriveSeed(config_.seed,
-                                           static_cast<std::uint64_t>(site))))
-             .first;
+  // Streams depend only on (seed, site), so creating them in bulk on first
+  // touch draws nothing and leaves every link's sequence unchanged.
+  const auto index = static_cast<std::size_t>(site);
+  while (link_rngs_.size() <= index) {
+    link_rngs_.emplace_back(DeriveSeed(
+        config_.seed, static_cast<std::uint64_t>(link_rngs_.size())));
   }
-  return it->second;
+  return link_rngs_[index];
 }
 
 void SimTransport::CrashSite(int site) {
@@ -171,9 +171,9 @@ void SimTransport::Send(const RuntimeMessage& message) {
   if (message.to == kBroadcastId) {
     // Per-link broadcast faulting: one transmission (accounted above), but
     // each destination link runs its own lottery over its own copy.
+    RuntimeMessage copy = message;
     for (int site = 0; site < config_.num_sites; ++site) {
       if (IsCrashed(site)) continue;
-      RuntimeMessage copy = message;
       copy.to = site;
       Admit(copy, site);
     }
@@ -208,17 +208,19 @@ void SimTransport::PublishMetrics(MetricRegistry* registry) const {
 
 void SimTransport::AdvanceRound() {
   ++round_;
-  // Stable partition preserves send order among messages due the same round.
-  std::vector<Pending> still_pending;
-  still_pending.reserve(pending_.size());
+  // Forward what is due and compact the rest in place, keeping send order
+  // among messages due the same round and among those still held.
+  std::size_t kept = 0;
   for (Pending& p : pending_) {
     if (p.due_round <= round_) {
       inner_->Send(p.message);
     } else {
-      still_pending.push_back(std::move(p));
+      if (&pending_[kept] != &p) pending_[kept] = std::move(p);
+      ++kept;
     }
   }
-  pending_ = std::move(still_pending);
+  pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 pending_.end());
 }
 
 }  // namespace sgm

@@ -2,7 +2,6 @@
 #define SGM_RUNTIME_SIM_TRANSPORT_H_
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "core/rng.h"
@@ -143,7 +142,7 @@ class SimTransport final : public Transport {
   Transport* inner_;
   SimTransportConfig config_;
   Telemetry* telemetry_ = nullptr;
-  std::map<int, Rng> link_rngs_;
+  std::vector<Rng> link_rngs_;  ///< indexed by the link's site id
   std::vector<bool> crashed_;
 
   std::vector<Pending> pending_;  ///< held messages, send order preserved

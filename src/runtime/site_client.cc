@@ -240,9 +240,9 @@ SiteExitReason SiteClient::RunSession(
         case RuntimeMessage::Type::kBarrierAck:
           break;  // site-originated control echoed back: ignore
         default: {
-          std::vector<RuntimeMessage> fresh;
-          reliable_->OnDeliver(config_.site_id, message, &fresh);
-          for (const RuntimeMessage& m : fresh) node_->OnMessage(m);
+          fresh_.clear();
+          reliable_->OnDeliver(config_.site_id, message, &fresh_);
+          for (const RuntimeMessage& m : fresh_) node_->OnMessage(m);
           break;
         }
       }

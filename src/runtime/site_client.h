@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "runtime/chaos.h"
 #include "runtime/reliable_transport.h"
@@ -155,6 +156,8 @@ class SiteClient {
   std::unique_ptr<ChaosSocketTransport> chaos_;
   std::unique_ptr<ReliableTransport> reliable_;
   std::unique_ptr<SiteNode> node_;
+  /// Delivery buffer of the event loop, reused across frames.
+  std::vector<RuntimeMessage> fresh_;
   /// Guards fd_ swaps against InjectConnectionReset from other threads.
   mutable std::mutex fd_mu_;
   int fd_ = -1;

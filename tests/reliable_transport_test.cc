@@ -2,12 +2,14 @@
 // resolution, backoff retransmission, give-up reporting, receive-side
 // dedup, and the control-message / link-administration exemptions.
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "runtime/reliable_transport.h"
+#include "runtime/round_clock.h"
 #include "runtime/transport.h"
 
 namespace sgm {
@@ -37,6 +39,41 @@ std::vector<RuntimeMessage> DeliverTo(ReliableTransport* rt, int receiver,
   std::vector<RuntimeMessage> fresh;
   rt->OnDeliver(receiver, message, &fresh);
   return fresh;
+}
+
+/// Jumps `step` rounds per AdvanceRound, so every entry due within the jump
+/// fires in one retransmission sweep.
+class SteppedRoundClock final : public RoundClock {
+ public:
+  explicit SteppedRoundClock(std::int64_t step) : step_(step) {}
+  std::int64_t AdvanceRound() override { return round_ += step_; }
+  std::int64_t CurrentRound() const override { return round_; }
+
+ private:
+  std::int64_t step_;
+  std::int64_t round_ = 0;
+};
+
+RuntimeMessage AckOf(const RuntimeMessage& message, int receiver) {
+  RuntimeMessage ack;
+  ack.type = RuntimeMessage::Type::kAck;
+  ack.from = receiver;
+  ack.to = message.from;
+  ack.seq = message.seq;
+  return ack;
+}
+
+RuntimeMessage UnicastTo(int site) {
+  RuntimeMessage m = EstimateBroadcast();
+  m.to = site;
+  return m;
+}
+
+/// Pops everything on the bus and returns the seqs, in wire order.
+std::vector<std::int64_t> DrainSeqs(InMemoryBus* bus) {
+  std::vector<std::int64_t> seqs;
+  while (!bus->empty()) seqs.push_back(bus->Pop().seq);
+  return seqs;
 }
 
 TEST(ReliableTransportTest, AckResolvesAndNothingRetransmits) {
@@ -319,6 +356,118 @@ TEST(ReliableTransportTest, RetransmissionScheduleIsSeedDeterministic) {
   };
   EXPECT_EQ(schedule(7), schedule(7));
   EXPECT_FALSE(schedule(7).empty());
+}
+
+TEST(ReliableTransportTest, MidQueueAckRetransmitsOnlyTheRestInSeqOrder) {
+  InMemoryBus bus;
+  SteppedRoundClock clock(4);  // past every first deadline (1 + jitter)
+  ReliableTransportConfig config;
+  config.round_clock = &clock;
+  ReliableTransport rt(&bus, 2, config);
+  for (int i = 0; i < 4; ++i) rt.Send(UnicastTo(0));
+  EXPECT_EQ(DrainSeqs(&bus), (std::vector<std::int64_t>{1, 2, 3, 4}));
+
+  // Site 0 acks seq 2 only: a resolved hole in the middle of the queue.
+  RuntimeMessage second = UnicastTo(0);
+  second.seq = 2;
+  EXPECT_TRUE(DeliverTo(&rt, kCoordinatorId, AckOf(second, 0)).empty());
+  EXPECT_TRUE(rt.HasUnacked());
+
+  rt.AdvanceRound();
+  EXPECT_EQ(DrainSeqs(&bus), (std::vector<std::int64_t>{1, 3, 4}));
+  EXPECT_EQ(rt.stats().retransmissions, 3);
+
+  // Acking the rest, front hole included, empties the queue.
+  for (const std::int64_t seq : {1, 3, 4}) {
+    RuntimeMessage m = UnicastTo(0);
+    m.seq = seq;
+    DeliverTo(&rt, kCoordinatorId, AckOf(m, 0));
+  }
+  EXPECT_FALSE(rt.HasUnacked());
+}
+
+TEST(ReliableTransportTest, EvictionTakesOldestAcrossSendersPastHoles) {
+  InMemoryBus bus;
+  SteppedRoundClock clock(4);
+  ReliableTransportConfig config;
+  config.round_clock = &clock;
+  config.max_in_flight_per_peer = 3;
+  ReliableTransport rt(&bus, 2, config);
+
+  // Site 0 sends seqs 1..3 to the coordinator; the coordinator acks seq 2,
+  // leaving site 0's queue as [1, hole, 3].
+  for (int i = 0; i < 3; ++i) rt.Send(Report(0));
+  DrainSeqs(&bus);
+  RuntimeMessage second = Report(0);
+  second.seq = 2;
+  DeliverTo(&rt, 0, AckOf(second, kCoordinatorId));
+  rt.Send(Report(1));  // site 1 seq 1: three expectations on the coordinator
+  DrainSeqs(&bus);
+  EXPECT_EQ(rt.stats().queue_evictions, 0);
+
+  // At the cap, each new send evicts the oldest live expectation in
+  // (sender, seq) order: site 0's seq 1, then — past the hole — seq 3.
+  rt.Send(Report(1));
+  rt.Send(Report(1));
+  DrainSeqs(&bus);
+  EXPECT_EQ(rt.stats().queue_evictions, 2);
+
+  rt.AdvanceRound();
+  std::vector<std::pair<int, std::int64_t>> retransmitted;
+  while (!bus.empty()) {
+    const RuntimeMessage copy = bus.Pop();
+    retransmitted.emplace_back(copy.from, copy.seq);
+  }
+  EXPECT_EQ(retransmitted, (std::vector<std::pair<int, std::int64_t>>{
+                               {1, 1}, {1, 2}, {1, 3}}));
+}
+
+TEST(ReliableTransportTest, AbandonSenderWithHolesKeepsPeerCountsExact) {
+  InMemoryBus bus;
+  ReliableTransportConfig config;
+  config.max_in_flight_per_peer = 3;
+  ReliableTransport rt(&bus, 2, config);
+
+  // Coordinator queue [1, hole, 3] toward site 0: two live expectations.
+  for (int i = 0; i < 3; ++i) rt.Send(UnicastTo(0));
+  DrainSeqs(&bus);
+  RuntimeMessage second = UnicastTo(0);
+  second.seq = 2;
+  DeliverTo(&rt, kCoordinatorId, AckOf(second, 0));
+  rt.AbandonSender(kCoordinatorId);
+  EXPECT_FALSE(rt.HasUnacked());
+
+  // Site 0's pending count is back to exactly zero: three sends fit under
+  // the cap, and only the fourth evicts.
+  for (int i = 0; i < 3; ++i) rt.Send(UnicastTo(0));
+  EXPECT_EQ(rt.stats().queue_evictions, 0);
+  rt.Send(UnicastTo(0));
+  EXPECT_EQ(rt.stats().queue_evictions, 1);
+}
+
+TEST(ReliableTransportTest, OutOfOrderArrivalInsideWindowThenDuplicates) {
+  InMemoryBus bus;
+  ReliableTransport rt(&bus, 2, ReliableTransportConfig{});
+  std::vector<RuntimeMessage> sent;
+  for (int i = 0; i < 5; ++i) {
+    rt.Send(UnicastTo(0));
+    sent.push_back(bus.Pop());
+  }
+
+  // Seq 5 arrives first, then seq 3: both fresh.
+  EXPECT_EQ(DeliverTo(&rt, 0, sent[4]).size(), 1u);
+  EXPECT_EQ(DeliverTo(&rt, 0, sent[2]).size(), 1u);
+  // Late copies of both are suppressed (and re-acked).
+  EXPECT_TRUE(DeliverTo(&rt, 0, sent[4]).empty());
+  EXPECT_TRUE(DeliverTo(&rt, 0, sent[2]).empty());
+  EXPECT_EQ(rt.stats().duplicates_suppressed, 2);
+  // The gaps are still open: seqs 1, 2 and 4 deliver once each.
+  for (const int i : {0, 1, 3}) {
+    EXPECT_EQ(DeliverTo(&rt, 0, sent[i]).size(), 1u);
+    EXPECT_TRUE(DeliverTo(&rt, 0, sent[i]).empty());
+  }
+  EXPECT_EQ(rt.stats().duplicates_suppressed, 5);
+  EXPECT_EQ(rt.stats().acks_sent, 10);
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 
 #include "obs/trace.h"
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/crc32c.h"
 #include "gtest/gtest.h"
 #include "obs/json.h"
 
@@ -21,6 +23,65 @@ std::vector<std::string> Lines(const std::string& text) {
     if (!line.empty()) lines.push_back(line);
   }
   return lines;
+}
+
+// Emits `count` events that exercise every argument kind, cycle and
+// epoch stamps, and a process label switched on part-way through.
+void FillLargeTrace(TraceLog* log, int count) {
+  for (int i = 0; i < count; ++i) {
+    if (i % 97 == 0) log->SetCycle(i / 97);
+    if (i % 1000 == 0) log->SetEpoch(i / 1000);
+    if (i == count / 2) log->SetProcess("site-3");
+    const int actor = i % 129 - 1;
+    switch (i % 4) {
+      case 0:
+        log->Emit("transport", "msg_send", actor,
+                  {{"type", "DriftReport"},
+                   {"span", static_cast<std::int64_t>(i)},
+                   {"parent", static_cast<std::int64_t>(i / 2)},
+                   {"bytes", 64 + i % 7}});
+        break;
+      case 1:
+        log->Emit("reliability", "retransmit", actor,
+                  {{"sender", actor},
+                   {"seq", static_cast<std::int64_t>(i) * 3},
+                   {"attempt", i % 4}});
+        break;
+      case 2:
+        log->Emit("fault", "delay", actor,
+                  {{"type", "Ack \"quoted\""}, {"rounds", i % 3}});
+        break;
+      default:
+        log->Emit("protocol", "partial_resolution", actor,
+                  {{"estimate", i / 7.0}, {"scale", 1e-9 * i}});
+        break;
+    }
+  }
+}
+
+TEST(TraceLogTest, LargeTraceWritesPinnedJsonl) {
+  // Well past any small-buffer regime of the event store: the bytes a
+  // 120k-event log writes are pinned (size and CRC32C), so no change to how
+  // events are stored can alter the JSONL format.
+  TraceLog log;
+  FillLargeTrace(&log, 120000);
+  ASSERT_EQ(log.size(), 120000u);
+  std::ostringstream out;
+  log.WriteJsonl(out);
+  const std::string text = out.str();
+  EXPECT_EQ(text.size(), 18011843u);
+  EXPECT_EQ(Crc32c(reinterpret_cast<const std::uint8_t*>(text.data()),
+                   text.size()),
+            0xb476bad9u);
+
+  // Each line is its event's own rendering, in emit order.
+  std::string rebuilt;
+  for (const TraceEvent& event : log.events()) {
+    std::ostringstream line;
+    TraceLog::AppendEventJson(event, line);
+    rebuilt += line.str() + "\n";
+  }
+  EXPECT_EQ(text, rebuilt);
 }
 
 TEST(TraceLogTest, TimestampsAreMonotoneAndCycleStamped) {
