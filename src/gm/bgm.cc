@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "core/check.h"
-#include "geometry/ball.h"
+#include "gm/sgm_core.h"
 
 namespace sgm {
 
@@ -30,9 +30,8 @@ CycleOutcome BalancedGeometricMonitor::MonitorCycle(
   // Local tests on effective (slack-adjusted) drifts.
   std::vector<int> violators;
   for (int i = 0; i < num_sites_; ++i) {
-    const Ball constraint =
-        Ball::LocalConstraint(e_, EffectiveDrift(i, local_vectors));
-    if (function_->BallCrossesThreshold(constraint, threshold_)) {
+    if (LocalAlarm(*function_, threshold_, e_,
+                   EffectiveDrift(i, local_vectors))) {
       violators.push_back(i);
     }
   }
@@ -61,8 +60,7 @@ CycleOutcome BalancedGeometricMonitor::MonitorCycle(
   std::size_t next_probe = 0;
   while (true) {
     const Vector balanced = group_sum / static_cast<double>(group_size);
-    const Ball group_ball = Ball::LocalConstraint(e_, balanced);
-    if (!function_->BallCrossesThreshold(group_ball, threshold_)) {
+    if (!LocalAlarm(*function_, threshold_, e_, balanced)) {
       // Balanced: assign slacks so every member's effective drift becomes
       // the group average (slack deltas sum to zero inside the group).
       for (int i = 0; i < num_sites_; ++i) {

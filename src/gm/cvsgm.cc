@@ -1,12 +1,9 @@
 #include "gm/cvsgm.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/check.h"
 #include "estimators/horvitz_thompson.h"
 #include "estimators/sampling.h"
-#include "estimators/tail_bounds.h"
+#include "gm/sgm_core.h"
 
 namespace sgm {
 
@@ -24,9 +21,10 @@ void CvSamplingMonitor::AfterSync(const std::vector<Vector>& local_vectors,
                                   Metrics* metrics) {
   ConvexSafeZoneMonitor::AfterSync(local_vectors, metrics);
   if (!site_rngs_.empty()) return;
-  Rng root(options_.seed);
   site_rngs_.reserve(num_sites_);
-  for (int i = 0; i < num_sites_; ++i) site_rngs_.push_back(root.Fork());
+  for (int i = 0; i < num_sites_; ++i) {
+    site_rngs_.push_back(SiteSamplingRng(options_.seed, i));
+  }
   effective_trials_ = options_.num_trials > 0
                           ? options_.num_trials
                           : NumTrialsCV(options_.delta, num_sites_);
@@ -51,17 +49,13 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
     const Vector position = e_ + Drift(i, local_vectors);
     distances[i] = zone_->SignedDistance(position);
     const double g =
-        SamplingProbabilityCV(options_.delta, U, num_sites_, distances[i]);
-    bool in_any_trial = false;
-    for (int trial = 0; trial < effective_trials_; ++trial) {
-      const bool sampled = site_rngs_[i].NextBernoulli(g);
-      if (trial == 0 && sampled) {
-        first_trial.push_back(i);
-        first_trial_g.push_back(g);
-      }
-      in_any_trial = in_any_trial || sampled;
+        InclusionProbabilityCV(options_.delta, U, num_sites_, distances[i]);
+    const TrialDraw draw = DrawTrials(g, effective_trials_, &site_rngs_[i]);
+    if (draw.first) {
+      first_trial.push_back(i);
+      first_trial_g.push_back(g);
     }
-    if (in_any_trial && distances[i] >= 0.0) alarm = true;
+    if (draw.any && distances[i] >= 0.0) alarm = true;
   }
   if (!alarm) {
     consecutive_alarms_ = 0;
@@ -70,18 +64,14 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
   outcome.local_alarm = true;
   ++consecutive_alarms_;
 
-  if (options_.escalate_after_consecutive_alarms > 0 &&
-      consecutive_alarms_ >= options_.escalate_after_consecutive_alarms) {
-    consecutive_alarms_ = 0;
-    FullSync(local_vectors, metrics, /*already_collected=*/0);
-    outcome.full_sync = true;
-    return outcome;
-  }
-
-  // Drift-saturation escalation (see CvsgmOptions).
-  if (options_.escalate_probe_fraction > 0.0 &&
-      static_cast<double>(first_trial.size()) >=
-          options_.escalate_probe_fraction * static_cast<double>(num_sites_)) {
+  // Sustained alarm pressure or drift saturation: re-anchor instead of
+  // probing (see CvsgmOptions).
+  if ((options_.escalate_after_consecutive_alarms > 0 &&
+       consecutive_alarms_ >= options_.escalate_after_consecutive_alarms) ||
+      (options_.escalate_probe_fraction > 0.0 &&
+       static_cast<double>(first_trial.size()) >=
+           options_.escalate_probe_fraction *
+               static_cast<double>(num_sites_))) {
     consecutive_alarms_ = 0;
     FullSync(local_vectors, metrics, /*already_collected=*/0);
     outcome.full_sync = true;
@@ -97,18 +87,13 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
     estimator.AddSample(distances[first_trial[k]], first_trial_g[k]);
   }
   const double d_hat = estimator.Estimate();
-  // ε_C from McDiarmid, held to half the e-to-surface room exactly as in
-  // SGM's partial check (see sgm.cc); ε_C ≤ ε keeps the revised scheme's
-  // tighter-error advantage.
-  const double epsilon_c = std::min(McDiarmidEpsilon(options_.delta, U),
-                                    0.5 * epsilon_T());
+  const double epsilon_c = PartialEpsilonCV(options_.delta, U, epsilon_T());
   if (d_hat + epsilon_c <= 0.0) {
     outcome.partial_resolved = true;
     last_alarm_reached_stage2_ = false;
     metrics->OnPartialResolution();
     if (options_.certified_cooldown) {
-      const long mute = static_cast<long>(
-          std::floor((-d_hat - epsilon_c) / max_step_norm_));
+      const long mute = CooldownCycles(-d_hat - epsilon_c, max_step_norm_);
       if (mute > 0) {
         muted_until_cycle_ = absolute_cycle_ + mute;
         metrics->AddBroadcast(1);
@@ -143,8 +128,7 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
     outcome.resolved_1d = true;
     metrics->OnOneDResolution();
     if (options_.certified_cooldown) {
-      const long mute =
-          static_cast<long>(std::floor(-exact_dc / max_step_norm_));
+      const long mute = CooldownCycles(-exact_dc, max_step_norm_);
       if (mute > 0) {
         muted_until_cycle_ = absolute_cycle_ + mute;
         metrics->AddBroadcast(1);

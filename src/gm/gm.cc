@@ -1,6 +1,6 @@
 #include "gm/gm.h"
 
-#include "geometry/ball.h"
+#include "gm/sgm_core.h"
 
 namespace sgm {
 
@@ -10,9 +10,7 @@ GeometricMonitor::GeometricMonitor(const MonitoredFunction& function,
 
 bool GeometricMonitor::SiteViolates(
     int site, const std::vector<Vector>& local_vectors) const {
-  const Ball constraint =
-      Ball::LocalConstraint(e_, Drift(site, local_vectors));
-  return function_->BallCrossesThreshold(constraint, threshold_);
+  return LocalAlarm(*function_, threshold_, e_, Drift(site, local_vectors));
 }
 
 CycleOutcome GeometricMonitor::MonitorCycle(

@@ -1,7 +1,7 @@
 #include "gm/pgm.h"
 
 #include "core/check.h"
-#include "geometry/ball.h"
+#include "gm/sgm_core.h"
 
 namespace sgm {
 
@@ -71,8 +71,7 @@ CycleOutcome PredictionGeometricMonitor::MonitorCycle(
   for (int i = 0; i < num_sites_; ++i) {
     const Vector deviation =
         local_vectors[i] - site_models_[i]->Predict(cycles_since_sync_);
-    const Ball constraint = Ball::LocalConstraint(e_pred, deviation);
-    if (function_->BallCrossesThreshold(constraint, threshold_)) {
+    if (LocalAlarm(*function_, threshold_, e_pred, deviation)) {
       outcome.local_alarm = true;
       break;
     }

@@ -1,13 +1,8 @@
 #include "gm/sgm.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/check.h"
 #include "estimators/horvitz_thompson.h"
 #include "estimators/sampling.h"
-#include "estimators/tail_bounds.h"
-#include "geometry/ball.h"
 
 namespace sgm {
 
@@ -28,32 +23,21 @@ std::string SamplingGeometricMonitor::name() const {
 void SamplingGeometricMonitor::AfterSync(
     const std::vector<Vector>& /*local_vectors*/, Metrics* /*metrics*/) {
   if (!site_rngs_.empty()) return;  // one-time setup on the first sync
-  Rng root(options_.seed);
   site_rngs_.reserve(num_sites_);
-  for (int i = 0; i < num_sites_; ++i) site_rngs_.push_back(root.Fork());
+  for (int i = 0; i < num_sites_; ++i) {
+    site_rngs_.push_back(SiteSamplingRng(options_.seed, i));
+  }
   effective_trials_ = options_.num_trials > 0
                           ? options_.num_trials
                           : NumTrials(options_.delta, num_sites_);
-}
-
-double SamplingGeometricMonitor::InclusionProbability(double drift_norm,
-                                                      double U) const {
-  if (options_.mode == SamplingMode::kUniform) {
-    return BernoulliSamplingProbability(options_.delta, num_sites_);
-  }
-  return SamplingProbability(options_.delta, U, num_sites_, drift_norm);
-}
-
-double SamplingGeometricMonitor::AverageSampleSize() const {
-  if (sample_cycles_ == 0) return 0.0;
-  return static_cast<double>(sample_size_accum_) /
-         static_cast<double>(sample_cycles_);
 }
 
 CycleOutcome SamplingGeometricMonitor::MonitorCycle(
     const std::vector<Vector>& local_vectors, Metrics* metrics) {
   CycleOutcome outcome;
   ++absolute_cycle_;
+  first_trial_.clear();
+  first_trial_g_.clear();
   if (absolute_cycle_ <= muted_until_cycle_) {
     // Certified cooldown: the average provably cannot have crossed yet.
     consecutive_alarms_ = 0;
@@ -64,30 +48,21 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
   // Monitoring phase: every site decides its own sample membership; sampled
   // sites (any trial) run the un-scaled GM ball test. The first-trial sample
   // K1 is remembered for the partial synchronization probe.
-  std::vector<int> first_trial;
-  std::vector<double> first_trial_g;
   bool alarm = false;
   for (int i = 0; i < num_sites_; ++i) {
     const Vector drift = Drift(i, local_vectors);
-    const double g = InclusionProbability(drift.Norm(), U);
-    bool in_any_trial = false;
-    for (int trial = 0; trial < effective_trials_; ++trial) {
-      const bool sampled = site_rngs_[i].NextBernoulli(g);
-      if (trial == 0 && sampled) {
-        first_trial.push_back(i);
-        first_trial_g.push_back(g);
-      }
-      in_any_trial = in_any_trial || sampled;
+    const double g = InclusionProbability(options_.mode, options_.delta, U,
+                                          num_sites_, drift.Norm());
+    const TrialDraw draw = DrawTrials(g, effective_trials_, &site_rngs_[i]);
+    if (draw.first) {
+      first_trial_.push_back(i);
+      first_trial_g_.push_back(g);
     }
-    if (in_any_trial && !alarm) {
-      const Ball constraint = Ball::LocalConstraint(e_, drift);
-      if (function_->BallCrossesThreshold(constraint, threshold_)) {
-        alarm = true;  // keep drawing samples so RNG use stays uniform
-      }
+    // Once alarmed, later sites still draw so RNG use stays uniform.
+    if (draw.any && !alarm) {
+      alarm = LocalAlarm(*function_, threshold_, e_, drift);
     }
   }
-  sample_size_accum_ += static_cast<long>(first_trial.size());
-  ++sample_cycles_;
   if (!alarm) {
     consecutive_alarms_ = 0;
     return outcome;
@@ -95,28 +70,16 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
   outcome.local_alarm = true;
   ++consecutive_alarms_;
 
-  if (options_.always_full_sync) {
-    consecutive_alarms_ = 0;
-    FullSync(local_vectors, metrics, /*already_collected=*/0);
-    outcome.full_sync = true;
-    return outcome;
-  }
-
-  // Sustained back-to-back alarm pressure: re-anchor once instead of paying
-  // partial probes indefinitely (see SgmOptions).
-  if (options_.escalate_after_consecutive_alarms > 0 &&
-      consecutive_alarms_ >= options_.escalate_after_consecutive_alarms) {
-    consecutive_alarms_ = 0;
-    FullSync(local_vectors, metrics, /*already_collected=*/0);
-    outcome.full_sync = true;
-    return outcome;
-  }
-
-  // Drift-saturation escalation: when the would-be probe is already a
-  // sizable fraction of the network, re-anchor instead (see SgmOptions).
-  if (options_.escalate_probe_fraction > 0.0 &&
-      static_cast<double>(first_trial.size()) >=
-          options_.escalate_probe_fraction * static_cast<double>(num_sites_)) {
+  // Re-anchor at once instead of probing (see SgmOptions): the ablation's
+  // sampling-only mode, sustained back-to-back alarm pressure, or a
+  // would-be probe already a sizable fraction of the network.
+  if (options_.always_full_sync ||
+      (options_.escalate_after_consecutive_alarms > 0 &&
+       consecutive_alarms_ >= options_.escalate_after_consecutive_alarms) ||
+      (options_.escalate_probe_fraction > 0.0 &&
+       static_cast<double>(first_trial_.size()) >=
+           options_.escalate_probe_fraction *
+               static_cast<double>(num_sites_))) {
     consecutive_alarms_ = 0;
     FullSync(local_vectors, metrics, /*already_collected=*/0);
     outcome.full_sync = true;
@@ -126,45 +89,29 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
   // Partial synchronization: probe only K1, form the HT estimate, check the
   // ε-ball. Cost: 1 broadcast request + |K1| drift vectors.
   metrics->AddBroadcast(0);
-  metrics->AddSiteMessages(static_cast<long>(first_trial.size()), dim_);
+  metrics->AddSiteMessages(static_cast<long>(first_trial_.size()), dim_);
   HtVectorEstimator estimator(num_sites_, dim_);
-  for (std::size_t k = 0; k < first_trial.size(); ++k) {
-    estimator.AddSample(Drift(first_trial[k], local_vectors),
-                        first_trial_g[k]);
+  for (std::size_t k = 0; k < first_trial_.size(); ++k) {
+    estimator.AddSample(Drift(first_trial_[k], local_vectors),
+                        first_trial_g_[k]);
   }
-  const Vector v_hat = estimator.Estimate(e_);
-  // ε from the Vector Bernstein bound, additionally held to half the room
-  // between e and the surface: with Section 3's third U guidance (U tied to
-  // ε_T) the ε-ball check stays decisive — it escalates exactly when the
-  // estimate has genuinely consumed a constant fraction of its slack rather
-  // than whenever enough cycles have elapsed since the last sync.
-  const double epsilon = std::min(BernsteinEpsilon(options_.delta, U),
-                                  0.5 * epsilon_T());
-
-  const bool estimate_switched =
-      (function_->Value(v_hat) > threshold_) != believes_above_;
-  const bool ball_crosses =
-      function_->BallCrossesThreshold(Ball(v_hat, epsilon), threshold_);
-  if (!estimate_switched && !ball_crosses) {
+  const PartialVerdict verdict = VetPartial(
+      *function_, threshold_, believes_above_, estimator.Estimate(e_),
+      PartialEpsilon(options_.delta, U, epsilon_T()), max_step_norm_);
+  if (verdict.resolved) {
     // High-probability FP: dismiss without touching the other N − |K| sites.
     outcome.partial_resolved = true;
     metrics->OnPartialResolution();
-    if (options_.certified_cooldown) {
-      const double room =
-          function_->DistanceToSurface(v_hat, threshold_) - epsilon;
-      const long mute =
-          static_cast<long>(std::floor(room / max_step_norm_));
-      if (mute > 0) {
-        muted_until_cycle_ = absolute_cycle_ + mute;
-        metrics->AddBroadcast(1);  // the coordinator announces the mute
-      }
+    if (options_.certified_cooldown && verdict.cooldown > 0) {
+      muted_until_cycle_ = absolute_cycle_ + verdict.cooldown;
+      metrics->AddBroadcast(1);  // the coordinator announces the mute
     }
     return outcome;
   }
 
   consecutive_alarms_ = 0;
   FullSync(local_vectors, metrics,
-           /*already_collected=*/static_cast<int>(first_trial.size()));
+           /*already_collected=*/static_cast<int>(first_trial_.size()));
   outcome.full_sync = true;
   return outcome;
 }

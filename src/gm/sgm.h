@@ -5,17 +5,10 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "gm/sgm_core.h"
 #include "sim/protocol.h"
 
 namespace sgm {
-
-/// How sites compute their inclusion probabilities.
-enum class SamplingMode {
-  /// g_i = ‖Δv_i‖·ln(1/δ)/(U·√N) — the paper's Equation-4 function.
-  kDriftWeighted,
-  /// g = ln(1/δ)/√N for everyone — the Section-6.5 Bernoulli baseline.
-  kUniform,
-};
 
 /// Options of the sampling-based monitor.
 struct SgmOptions {
@@ -79,8 +72,9 @@ class SamplingGeometricMonitor : public ProtocolBase {
   /// (resolved after Initialize() when options.num_trials == 0).
   int effective_trials() const { return effective_trials_; }
 
-  /// Mean per-cycle first-trial sample size observed so far (diagnostics).
-  double AverageSampleSize() const;
+  /// The first-trial sample K1 of the latest cycle, in site-id order (empty
+  /// in a muted cycle) — what the coordinator would probe.
+  const std::vector<int>& first_trial() const { return first_trial_; }
 
  protected:
   CycleOutcome MonitorCycle(const std::vector<Vector>& local_vectors,
@@ -89,13 +83,11 @@ class SamplingGeometricMonitor : public ProtocolBase {
                  Metrics* metrics) override;
 
  private:
-  double InclusionProbability(double drift_norm, double U) const;
-
   SgmOptions options_;
   std::vector<Rng> site_rngs_;
+  std::vector<int> first_trial_;
+  std::vector<double> first_trial_g_;
   int effective_trials_ = 1;
-  long sample_size_accum_ = 0;
-  long sample_cycles_ = 0;
   int consecutive_alarms_ = 0;
   long muted_until_cycle_ = -1;  ///< absolute cycle count, see cooldown
   long absolute_cycle_ = 0;

@@ -1,12 +1,10 @@
 #include "runtime/coordinator_node.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/check.h"
 #include "estimators/horvitz_thompson.h"
-#include "estimators/tail_bounds.h"
-#include "geometry/ball.h"
+#include "gm/sgm_core.h"
 #include "obs/telemetry.h"
 
 namespace sgm {
@@ -59,16 +57,6 @@ void CoordinatorNode::AttachReliability(ReliableTransport* reliable) {
   reliable_ = reliable;
   reliable_->SetDeadLinkHandler(
       [this](int site, const RuntimeMessage& m) { OnLinkDead(site, m); });
-}
-
-double CoordinatorNode::CurrentU() const {
-  const double accumulated =
-      config_.max_step_norm *
-      static_cast<double>(std::max<long>(1, cycles_since_sync_));
-  const double threshold_scale =
-      config_.u_threshold_factor *
-      std::max(epsilon_t_, config_.max_step_norm);
-  return std::min({accumulated, config_.drift_norm_cap, threshold_scale});
 }
 
 void CoordinatorNode::Start() {
@@ -411,7 +399,7 @@ void CoordinatorNode::FinishFullSync(bool degraded) {
   CloseCycleSpan();  // the cascade ends with the anchor broadcast
 }
 
-void CoordinatorNode::ResolvePartial(const Vector& v_hat) {
+void CoordinatorNode::ResolvePartial(long cooldown) {
   ++partial_resolutions_;
   phase_ = Phase::kIdle;
   const std::int64_t resolve_span = TagSpan(MintSpan());
@@ -419,29 +407,23 @@ void CoordinatorNode::ResolvePartial(const Vector& v_hat) {
     telemetry_->trace.Emit("protocol", "partial_resolution", kCoordinatorId,
                            {{"span", resolve_span}, {"parent", cycle_span_}});
   }
-  // Certified cooldown (see SgmOptions::certified_cooldown): the average
-  // cannot cross for (D − ε)/max_step cycles.
-  const double U = CurrentU();
-  const double epsilon = std::min(BernsteinEpsilon(config_.delta, U),
-                                  0.5 * epsilon_t_);
-  const double room =
-      function_->DistanceToSurface(v_hat, config_.threshold) - epsilon;
-  const long mute = std::max<long>(
-      0, static_cast<long>(std::floor(room / config_.max_step_norm)));
-
   WalRecord record;
   record.kind = WalRecord::Kind::kPartialResolution;
   record.partial_resolutions = partial_resolutions_;
   record.last_cycle_span = last_cycle_span_;
   AppendWal(record);
 
-  RuntimeMessage resolved;
-  resolved.type = RuntimeMessage::Type::kResolved;
-  resolved.scalar = static_cast<double>(mute);
-  resolved.span = resolve_span;
-  resolved.parent_span = cycle_span_;
-  SendBroadcast(std::move(resolved));
-  CloseCycleSpan();  // the cascade ends with the dismissal broadcast
+  // Certified cooldown (see PartialVerdict): announced only when it mutes
+  // at least one cycle — a zero-length mute would change nothing at a site.
+  if (cooldown > 0) {
+    RuntimeMessage resolved;
+    resolved.type = RuntimeMessage::Type::kResolved;
+    resolved.scalar = static_cast<double>(cooldown);
+    resolved.span = resolve_span;
+    resolved.parent_span = cycle_span_;
+    SendBroadcast(std::move(resolved));
+  }
+  CloseCycleSpan();  // the cascade ends with the dismissal
 }
 
 void CoordinatorNode::MaybeGrantRejoin(int site) {
@@ -729,31 +711,27 @@ void CoordinatorNode::OnQuiescent() {
   // The estimator reweights over the live population — dead sites are not
   // part of the sample frame.
   const int live = std::max(1, fd_.live_count());
-  Vector v_hat = e_;
-  bool estimate_switched = false;
-  bool ball_crosses = false;
+  PartialVerdict verdict;
   {
     ScopedTimer timer(ht_estimate_ns_);
     // Fold the buffered reports in site-id order — the sum is then a pure
     // function of the report set, not of the order the network delivered it.
-    Vector probe_weighted_sum(e_.dim());
+    HtVectorEstimator estimator(live, e_.dim());
     for (int site = 0; site < num_sites_; ++site) {
-      if (probe_g_[site] <= 0.0) continue;
-      probe_weighted_sum.Axpy(1.0 / probe_g_[site], probe_drift_[site]);
+      if (probe_g_[site] > 0.0) {
+        estimator.AddSample(probe_drift_[site], probe_g_[site]);
+      }
     }
-    v_hat.Axpy(1.0 / static_cast<double>(live), probe_weighted_sum);
-    const double U = CurrentU();
-    const double epsilon = std::min(BernsteinEpsilon(config_.delta, U),
-                                    0.5 * epsilon_t_);
-    estimate_switched =
-        (function_->Value(v_hat) > config_.threshold) != believes_above_;
-    ball_crosses = function_->BallCrossesThreshold(Ball(v_hat, epsilon),
-                                                   config_.threshold);
+    const double U = config_.drift_scale().U(cycles_since_sync_, epsilon_t_);
+    verdict = VetPartial(*function_, config_.threshold, believes_above_,
+                         estimator.Estimate(e_),
+                         PartialEpsilon(config_.delta, U, epsilon_t_),
+                         config_.max_step_norm);
   }
-  if (estimate_switched || ball_crosses) {
-    RequestFullState();
+  if (verdict.resolved) {
+    ResolvePartial(verdict.cooldown);
   } else {
-    ResolvePartial(v_hat);
+    RequestFullState();
   }
 }
 

@@ -181,7 +181,6 @@ class CoordinatorNode {
  private:
   enum class Phase { kIdle, kProbing, kCollecting };
 
-  double CurrentU() const;
   void SendBroadcast(RuntimeMessage message);
   /// Next causal span id from the logical counter (never random — replaying
   /// a seed must reproduce identical spans). Minted unconditionally: spans
@@ -205,7 +204,9 @@ class CoordinatorNode {
   /// Advances the epoch (sync-round counter) and traces the bump.
   void BumpEpoch();
   void FinishFullSync(bool degraded);
-  void ResolvePartial(const Vector& v_hat);
+  /// Dismisses the probed alarm; broadcasts the certified mute when
+  /// `cooldown` > 0.
+  void ResolvePartial(long cooldown);
   /// Merges a new wish into the pending resync schedule (soonest wins).
   void ScheduleResync(long cycles);
   /// Liveness bookkeeping for any inbound site message: feeds the failure

@@ -21,9 +21,9 @@ inline constexpr int kBroadcastId = -2;
 ///   coord → broadcast    kProbeRequest      (partial sync: first-trial
 ///                                            members, report your drift)
 ///   site → coordinator   kDriftReport       (Δv_i and its g_i)
-///   coord → broadcast    kResolved          (FP dismissed; optional
-///                                            certified-mute length rides in
-///                                            `scalar`)
+///   coord → broadcast    kResolved          (FP dismissed with a certified
+///                                            mute of `scalar` ≥ 1 cycles;
+///                                            not sent when the mute is 0)
 ///   coord → broadcast    kFullStateRequest  (full sync: everyone reports)
 ///   site → coordinator   kStateReport       (v_i)
 ///   coord → broadcast    kNewEstimate       (the fresh e(t); re-anchor)
@@ -95,7 +95,7 @@ struct RuntimeMessage {
   /// cascade plus one child span per phase (probe, collection, resolution,
   /// estimate broadcast) — and sites echo the span of the request they
   /// answer, so a trace reconstructs the local-violation → probe →
-  /// partial/full-sync causality of each cycle (wire format v3).
+  /// partial/full-sync causality of each cycle.
   std::int64_t span = 0;
   /// Parent of `span` in the cycle's span tree (0 = root or none).
   std::int64_t parent_span = 0;

@@ -21,7 +21,7 @@ ReliableTransport::ReliableTransport(Transport* lower, int num_sites,
       next_seq_(num_sites + 1, 0),
       in_flight_(num_sites + 1),
       busy_senders_(static_cast<std::size_t>(num_sites) / 64 + 1, 0),
-      pending_per_dest_(num_sites + 1, 0),
+      pending_per_link_(2 * static_cast<std::size_t>(num_sites), 0),
       seen_(2 * static_cast<std::size_t>(num_sites)) {
   SGM_CHECK(lower != nullptr);
   SGM_CHECK(num_sites > 0);
@@ -99,7 +99,7 @@ bool ReliableTransport::ReleaseAwait(InFlight* entry, int dest) {
   if (!Awaits(*entry, dest)) return false;
   const auto bit = static_cast<std::size_t>(dest + 1);
   entry->awaiting[bit / 64] &= ~(std::uint64_t{1} << (bit % 64));
-  --pending_per_dest_[bit];
+  --pending_per_link_[Link(entry->message.from, dest)];
   if (--entry->awaiting_count > 0) return false;
   --live_in_flight_;
   return true;
@@ -126,20 +126,17 @@ std::size_t ReliableTransport::NextBusySender(std::size_t slot) const {
   return word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
-void ReliableTransport::EvictOldestFor(int dest) {
-  for (std::size_t slot = NextBusySender(0); slot < in_flight_.size();
-       slot = NextBusySender(slot + 1)) {
-    for (InFlight& entry : in_flight_[slot]) {
-      if (!Awaits(entry, dest)) continue;
-      ++stats_.queue_evictions;
-      if (telemetry_ != nullptr) {
-        telemetry_->trace.Emit("reliability", "queue_evict",
-                               entry.message.from,
-                               {{"dest", dest}, {"seq", entry.message.seq}});
-      }
-      if (ReleaseAwait(&entry, dest)) PopResolved(slot);
-      return;
+void ReliableTransport::EvictOldestOn(int sender, int dest) {
+  const auto slot = static_cast<std::size_t>(Slot(sender));
+  for (InFlight& entry : in_flight_[slot]) {
+    if (!Awaits(entry, dest)) continue;
+    ++stats_.queue_evictions;
+    if (telemetry_ != nullptr) {
+      telemetry_->trace.Emit("reliability", "queue_evict", sender,
+                             {{"dest", dest}, {"seq", entry.message.seq}});
     }
+    if (ReleaseAwait(&entry, dest)) PopResolved(slot);
+    return;
   }
 }
 
@@ -159,7 +156,9 @@ void ReliableTransport::AbandonSender(int sender) {
   const auto slot = static_cast<std::size_t>(Slot(sender));
   for (const InFlight& entry : in_flight_[slot]) {
     if (entry.awaiting_count == 0) continue;
-    ForEachAwaited(entry, [this](int dest) { --pending_per_dest_[dest + 1]; });
+    ForEachAwaited(entry, [this, sender](int dest) {
+      --pending_per_link_[Link(sender, dest)];
+    });
     --live_in_flight_;
   }
   in_flight_[slot].clear();
@@ -200,13 +199,14 @@ void ReliableTransport::Send(const RuntimeMessage& message) {
   if (entry.awaiting_count > 0) {
     ++stats_.tracked_sends;
     entry.due_round = round_ + NextBackoff(0);
-    ForEachAwaited(entry, [this](int dest) {
-      // Per-peer queue cap: free a slot before claiming one, so the newest
+    ForEachAwaited(entry, [this, &stamped](int dest) {
+      // Per-link queue cap: free a slot before claiming one, so the newest
       // message (the one the protocol currently cares about) always tracks.
-      if (pending_per_dest_[dest + 1] >= config_.max_in_flight_per_peer) {
-        EvictOldestFor(dest);
+      long& pending = pending_per_link_[Link(stamped.from, dest)];
+      if (pending >= config_.max_in_flight_per_peer) {
+        EvictOldestOn(stamped.from, dest);
       }
-      ++pending_per_dest_[dest + 1];
+      ++pending;
     });
     entry.message = stamped;
     in_flight_[sender].push_back(std::move(entry));
@@ -254,14 +254,14 @@ void ReliableTransport::Resolve(int sender, std::int64_t seq, int receiver) {
   if (ReleaseAwait(it, receiver)) PopResolved(slot);
 }
 
-ReliableTransport::SeenWindow& ReliableTransport::Window(int receiver,
-                                                         int sender) {
+std::size_t ReliableTransport::Link(int sender, int receiver) const {
   const int site = receiver == kCoordinatorId ? sender : receiver;
   SGM_CHECK_MSG((receiver == kCoordinatorId) != (sender == kCoordinatorId) &&
                     site >= 0 && site < num_sites_,
                 "link %d -> %d does not end at the coordinator", sender,
                 receiver);
-  return seen_[receiver == kCoordinatorId ? site : num_sites_ + site];
+  return static_cast<std::size_t>(
+      receiver == kCoordinatorId ? site : num_sites_ + site);
 }
 
 void ReliableTransport::OnDeliver(int receiver, const RuntimeMessage& message,
@@ -277,7 +277,7 @@ void ReliableTransport::OnDeliver(int receiver, const RuntimeMessage& message,
     return;
   }
 
-  SeenWindow& window = Window(receiver, message.from);
+  SeenWindow& window = seen_[Link(message.from, receiver)];
   SlidingQueue<std::int64_t>& above = window.above;
   // In-order arrival (the common case) lands past the newest seen seq.
   const std::int64_t* pos =
@@ -332,7 +332,7 @@ void ReliableTransport::AdvanceRound() {
               {{"sender", entry.message.from}, {"seq", entry.message.seq}});
         }
         ForEachAwaited(entry, [&](int dest) {
-          --pending_per_dest_[dest + 1];
+          --pending_per_link_[Link(entry.message.from, dest)];
           if (dest >= 0) exhausted_links.emplace_back(dest, entry.message);
         });
         entry.awaiting.clear();

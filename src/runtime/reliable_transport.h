@@ -30,12 +30,14 @@ struct ReliableTransportConfig {
   int base_backoff_rounds = 1;
   /// Exponential backoff ceiling (rounds), before jitter.
   int max_backoff_rounds = 8;
-  /// Cap on tracked in-flight messages awaiting any single destination.
-  /// When a new tracked send would exceed it, the oldest entry still
-  /// awaiting that destination releases its expectation (best-effort from
+  /// Cap on tracked in-flight messages awaiting an ack on any one directed
+  /// link (sender → destination). When a new tracked send would exceed it,
+  /// the link's oldest entry releases that expectation (best-effort from
   /// then on, counted in queue_evictions), so a long-unresponsive peer —
   /// a dead link the failure detector has not yet condemned, or a crashed
-  /// coordinator — cannot grow the retransmit queue without bound.
+  /// coordinator — cannot grow the retransmit queue without bound. Counted
+  /// per link, not per destination: the coordinator awaiting one report
+  /// from each of N sites is N links with one entry each, never a backlog.
   int max_in_flight_per_peer = 256;
   /// Receive-side dedup window per link: seqs retained above the compaction
   /// floor. The window holds the seen seqs themselves, not a bitmask over
@@ -105,8 +107,8 @@ class ReliableTransport final : public Transport {
     long duplicates_suppressed = 0;
     /// Messages abandoned after max_retransmits (dead-link reports fired).
     long give_ups = 0;
-    /// Per-peer queue-cap evictions: tracked expectations released because
-    /// max_in_flight_per_peer was reached for their destination.
+    /// Queue-cap evictions: tracked expectations released because
+    /// max_in_flight_per_peer was reached on their directed link.
     long queue_evictions = 0;
     /// Dedup-window compactions: seen-seqs promoted into the floor once the
     /// window exceeded dedup_window entries.
@@ -259,14 +261,14 @@ class ReliableTransport final : public Transport {
   /// in_flight_.size() if none. Sweeps step through senders with it, so
   /// idle endpoints cost a bit test, not a visit.
   std::size_t NextBusySender(std::size_t slot) const;
-  /// Frees one queue slot for `dest` by evicting the oldest in-flight
-  /// expectation on it (oldest in (sender, seq) order — per sender that is
-  /// send order, which is what matters: entries piling up on one peer come
-  /// from the one endpoint still talking to it).
-  void EvictOldestFor(int dest);
-  /// The dedup window of the link `sender` → `receiver`. Every link has the
-  /// coordinator at one end.
-  SeenWindow& Window(int receiver, int sender);
+  /// Frees one queue slot on the link `sender` → `dest` by evicting that
+  /// link's oldest in-flight expectation (the sender's queue is in send
+  /// order).
+  void EvictOldestOn(int sender, int dest);
+  /// Dense index of the directed link `sender` → `receiver` (every link has
+  /// the coordinator at one end): site → coordinator links at [site],
+  /// coordinator → site links at [num_sites + site].
+  std::size_t Link(int sender, int receiver) const;
 
   Transport* lower_;
   int num_sites_;
@@ -287,11 +289,10 @@ class ReliableTransport final : public Transport {
   std::vector<std::uint64_t> busy_senders_;
   /// Unresolved entries across all queues.
   long live_in_flight_ = 0;
-  /// In-flight expectations per destination endpoint, bounded by
-  /// max_in_flight_per_peer via eviction.
-  std::vector<long> pending_per_dest_;
-  /// Receive-side dedup windows: [site] for site → coordinator links,
-  /// [num_sites + site] for coordinator → site links.
+  /// In-flight expectations per directed link (indexed by Link()), bounded
+  /// by max_in_flight_per_peer via eviction.
+  std::vector<long> pending_per_link_;
+  /// Receive-side dedup windows per directed link (indexed by Link()).
   std::vector<SeenWindow> seen_;
 
   long round_ = 0;

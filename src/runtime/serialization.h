@@ -11,12 +11,9 @@
 namespace sgm {
 
 /// Binary wire format for RuntimeMessages, for transports that cross
-/// process/machine boundaries. Little-endian, fixed layout (version 4,
-/// which added the trailing CRC32C frame checksum; version 3 added the
-/// causal span fields; version 2 added the reliability layer's
-/// epoch/seq/flags fields; the socket runtime's session-control types —
-/// kSiteHello through kShutdown — extend the valid type range within v4
-/// without changing the layout):
+/// process/machine boundaries. Little-endian, fixed layout (version 4; the
+/// socket runtime's session-control types — kSiteHello through kShutdown —
+/// extend the valid type range within v4 without changing the layout):
 ///
 ///   u8   version (= kWireFormatVersion)
 ///   u8   type
@@ -25,20 +22,18 @@ namespace sgm {
 ///   i32  to
 ///   i64  epoch
 ///   i64  seq
-///   i64  span          (v3+)
-///   i64  parent_span   (v3+)
+///   i64  span
+///   i64  parent_span
 ///   f64  scalar
 ///   u32  payload dimension d
 ///   f64  payload[0..d)
-///   u32  crc32c over all preceding bytes (v4 only)
+///   u32  crc32c over all preceding bytes
 ///
-/// Encode always emits v4; Decode accepts v4, v3 and v2 frames (a v3/v2
-/// frame simply has no checksum; a v2 frame additionally has no span
-/// fields — they decode to 0, "no span"), so a rolling upgrade never
-/// partitions the deployment on wire version. Decode validates the
-/// checksum first (any bit flip anywhere in a v4 frame — including the
-/// version byte, whose flips land on unknown versions — is rejected before
-/// field parsing), then length, version, type range and dimension bounds,
+/// Decode accepts v4 frames only: every other version byte — the older
+/// unchecksummed v2/v3 layouts included, which no peer emits — is rejected
+/// before any field is read. It then validates the checksum (any bit flip
+/// anywhere in the frame is rejected before field parsing), then length,
+/// type range and dimension bounds,
 /// and returns precise errors (a transport must never crash the
 /// coordinator with a truncated or corrupted datagram). Rejected-checksum
 /// frames increment the `serialization.corrupt_frames` audit counter in
@@ -59,11 +54,6 @@ Result<RuntimeMessage> DecodeMessage(const std::vector<std::uint8_t>& buffer);
 /// value (0..6) so old-format frames fail the version check, never a
 /// silent misparse.
 inline constexpr std::uint8_t kWireFormatVersion = 0xA4;
-
-/// Previous wire-format versions (v3: span fields but no checksum; v2:
-/// neither), still accepted by DecodeMessage for backward compatibility.
-inline constexpr std::uint8_t kWireFormatVersionV3 = 0xA3;
-inline constexpr std::uint8_t kWireFormatVersionV2 = 0xA2;
 
 /// Upper bound on accepted payload dimensionality (sanity guard against
 /// corrupted length fields allocating gigabytes).

@@ -1,10 +1,6 @@
 #include "runtime/site_node.h"
 
-#include <algorithm>
-
 #include "core/check.h"
-#include "estimators/sampling.h"
-#include "geometry/ball.h"
 #include "obs/telemetry.h"
 
 namespace sgm {
@@ -17,7 +13,7 @@ SiteNode::SiteNode(int id, int num_sites, const MonitoredFunction& function,
       config_(config),
       transport_(transport),
       telemetry_(config.telemetry),
-      rng_(config.seed + 0x9e37u * static_cast<std::uint64_t>(id + 1)) {
+      rng_(SiteSamplingRng(config.seed, id)) {
   SGM_CHECK(id >= 0 && id < num_sites);
   SGM_CHECK(transport != nullptr);
   SGM_CHECK(config.num_trials >= 1);
@@ -30,16 +26,6 @@ SiteNode::SiteNode(int id, int num_sites, const MonitoredFunction& function,
 }
 
 Vector SiteNode::Drift() const { return local_ - synced_local_; }
-
-double SiteNode::CurrentU() const {
-  const double accumulated =
-      config_.max_step_norm *
-      static_cast<double>(std::max<long>(1, cycles_since_sync_));
-  const double threshold_scale =
-      config_.u_threshold_factor *
-      std::max(epsilon_t_, config_.max_step_norm);
-  return std::min({accumulated, config_.drift_norm_cap, threshold_scale});
-}
 
 void SiteNode::SendToCoordinator(RuntimeMessage message) {
   message.from = id_;
@@ -110,20 +96,18 @@ void SiteNode::Observe(const Vector& local_vector) {
   // Monitoring phase: M independent self-sampling trials; any hit arms the
   // un-scaled GM ball test (Lemma 2).
   const Vector drift = Drift();
-  inclusion_probability_ = SamplingProbability(config_.delta, CurrentU(),
-                                               num_sites_, drift.Norm());
-  bool sampled_any = false;
-  for (int trial = 0; trial < config_.num_trials; ++trial) {
-    const bool sampled = rng_.NextBernoulli(inclusion_probability_);
-    if (trial == 0) in_first_trial_ = sampled;
-    sampled_any = sampled_any || sampled;
-  }
-  if (sampled_any) {
+  inclusion_probability_ = InclusionProbability(
+      SamplingMode::kDriftWeighted, config_.delta,
+      config_.drift_scale().U(cycles_since_sync_, epsilon_t_), num_sites_,
+      drift.Norm());
+  const TrialDraw draw =
+      DrawTrials(inclusion_probability_, config_.num_trials, &rng_);
+  in_first_trial_ = draw.first;
+  if (draw.any) {
     bool crossed = false;
     {
       ScopedTimer timer(ball_test_ns_);
-      const Ball constraint = Ball::LocalConstraint(e_, drift);
-      crossed = function_->BallCrossesThreshold(constraint, config_.threshold);
+      crossed = LocalAlarm(*function_, config_.threshold, e_, drift);
     }
     if (crossed) {
       if (telemetry_ != nullptr) {

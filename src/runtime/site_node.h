@@ -6,6 +6,7 @@
 
 #include "core/rng.h"
 #include "functions/monitored_function.h"
+#include "gm/sgm_core.h"
 #include "runtime/failure_detector.h"
 #include "runtime/message.h"
 #include "runtime/reliable_transport.h"
@@ -29,8 +30,10 @@ struct RuntimeConfig {
   double max_step_norm = 1.0;
   /// A-priori ‖Δv_i‖ cap (√2·window for sliding windows; +inf if unknown).
   double drift_norm_cap = 1e18;
-  /// β of the U ≤ β·ε_T ceiling (see sim/protocol.h's CurrentU).
+  /// β of the U ≤ β·ε_T ceiling (see gm/sgm_core.h's DriftScale).
   double u_threshold_factor = 6.0;
+  /// Sampling seed: site i draws its coins from SiteSamplingRng(seed, i),
+  /// the stream the simulator's SGM with the same seed gives site i.
   std::uint64_t seed = 99;
 
   // ── Reliability layer ──────────────────────────────────────────────────
@@ -96,6 +99,11 @@ struct RuntimeConfig {
   /// pre-sampling traces. Counters always count everything; the audit,
   /// alert and recovery planes are never sampled out.
   double trace_sample_rate = 1.0;
+
+  /// The U(t) inputs every node shares (gm/sgm_core.h).
+  DriftScale drift_scale() const {
+    return {max_step_norm, drift_norm_cap, u_threshold_factor};
+  }
 };
 
 /// The bottom-tier participant of the SGM runtime: owns one local
@@ -170,7 +178,6 @@ class SiteNode {
   AuditStats audit() const { return audit_; }
 
  private:
-  double CurrentU() const;
   Vector Drift() const;
   void SendToCoordinator(RuntimeMessage message);
   void SendHeartbeatIfDue();

@@ -142,6 +142,12 @@ void InvariantChecker::CheckRecoveryState(long cycle, bool matches,
   Add("recovery-state-mismatch", cycle, details);
 }
 
+void InvariantChecker::CheckDriverEquivalence(long cycle, bool agree,
+                                              const std::string& details) {
+  if (agree) return;
+  Add("driver-equivalence", cycle, details);
+}
+
 void InvariantChecker::CheckRecoveryReconvergence(long cycle,
                                                   long recovered_cycle,
                                                   bool converged) {

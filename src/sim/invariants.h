@@ -107,6 +107,12 @@ class InvariantChecker {
   void CheckRecoveryReconvergence(long cycle, long recovered_cycle,
                                   bool converged);
 
+  /// Driver-equivalence invariant: on a fault-free network the simulator's
+  /// SGM and the runtime make the same decision every cycle. `details`
+  /// names the first field that differs when `agree` is false.
+  void CheckDriverEquivalence(long cycle, bool agree,
+                              const std::string& details);
+
   bool ok() const { return violations_.empty(); }
   const std::vector<InvariantViolation>& violations() const {
     return violations_;

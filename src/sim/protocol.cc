@@ -1,9 +1,9 @@
 #include "sim/protocol.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "core/check.h"
+#include "gm/sgm_core.h"
 #include "obs/telemetry.h"
 
 namespace sgm {
@@ -98,11 +98,8 @@ Vector ProtocolBase::Drift(int site,
 }
 
 double ProtocolBase::CurrentU() const {
-  const double accumulated = max_step_norm_ * static_cast<double>(
-                                 std::max<long>(1, cycles_since_sync_));
-  const double threshold_scale =
-      u_threshold_factor_ * std::max(epsilon_t_, max_step_norm_);
-  return std::min({accumulated, drift_norm_cap_, threshold_scale});
+  return DriftScale{max_step_norm_, drift_norm_cap_, u_threshold_factor_}.U(
+      cycles_since_sync_, epsilon_t_);
 }
 
 bool ProtocolBase::FullSync(const std::vector<Vector>& local_vectors,

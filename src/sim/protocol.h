@@ -118,17 +118,8 @@ class ProtocolBase : public Protocol {
   Vector Drift(int site, const std::vector<Vector>& local_vectors) const;
 
   /// U(t): the drift-norm scale of Section 3, known to every node without
-  /// communication. Three ingredients, combined as their minimum:
-  ///  1. per-cycle accumulation max_step_norm · (cycles since sync) — drifts
-  ///     cannot have grown faster (Example 3's pattern);
-  ///  2. the a-priori drift cap (windowed streams, set_drift_norm_cap);
-  ///  3. β·ε_T — the paper's third U guidance ("set U according to the
-  ///     minimum distance of e from the threshold surface"), which Lemma 3's
-  ///     final P_FN = O(δ^{|Z|M/√N}) bound instantiates (U ∝ ε_T). Tying U
-  ///     to the threshold distance keeps sampling probabilities — and hence
-  ///     probe sizes — scaled to how *dangerous* a drift actually is, rather
-  ///     than to elapsed time.
-  /// Floored at one step so U never degenerates to zero on the surface.
+  /// communication — DriftScale::U (gm/sgm_core.h) over this protocol's
+  /// max step, drift cap, β and sync clock.
   double CurrentU() const;
 
   /// Executes a full synchronization: collects the `num_sites −

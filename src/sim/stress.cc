@@ -162,6 +162,22 @@ std::unique_ptr<AccuracyAuditor> MakeAuditor(
   return std::make_unique<AccuracyAuditor>(auditor);
 }
 
+/// `config` with every fault off, for the legs that compare two drivers in
+/// one process: they run untelemetered, since one telemetry context would
+/// conflate the two drivers' counters.
+StressConfig Faultless(const StressConfig& config) {
+  StressConfig faultless = config;
+  faultless.drop_probability = 0.0;
+  faultless.duplicate_probability = 0.0;
+  faultless.max_delay_rounds = 0;
+  faultless.crash_probability = 0.0;
+  faultless.corrupt_probability = 0.0;
+  faultless.coord_crash_probability = 0.0;
+  faultless.stall_probability = 0.0;
+  faultless.telemetry = nullptr;
+  return faultless;
+}
+
 void FillReport(const InvariantChecker& checker, const StressConfig& config,
                 const std::string& leg, StressReport* report) {
   report->config = config;
@@ -258,6 +274,7 @@ std::string StressReport::Summary() const {
     out << "OK (" << cycles << " cycles, " << fn_cycles << " FN cycles, "
         << full_syncs << " full syncs, " << degraded_syncs
         << " degraded, max disagreement run " << max_observed_run;
+    if (leg == "equivalence") out << ", " << belief_flips << " belief flips";
     if (leg == "runtime") {
       out << ", " << retransmissions << " retransmits, " << rejoins_granted
           << " rejoins, " << stale_epoch_drops << " stale drops";
@@ -869,15 +886,7 @@ StressReport RunTransportParity(const StressConfig& config) {
   // Two independent but identically-seeded legs: same workload, same node
   // seeds, different transport wiring. Faults must be off — parity is the
   // faults-off conservation law.
-  StressConfig faultless = config;
-  faultless.drop_probability = 0.0;
-  faultless.duplicate_probability = 0.0;
-  faultless.max_delay_rounds = 0;
-  faultless.crash_probability = 0.0;
-  faultless.corrupt_probability = 0.0;
-  // Two drivers share this process; attaching one telemetry context would
-  // conflate their counters, so the parity leg runs untelemetered.
-  faultless.telemetry = nullptr;
+  const StressConfig faultless = Faultless(config);
 
   RuntimeLeg leg(faultless);
   RuntimeDriver bus_driver(faultless.num_sites, *leg.function_,
@@ -931,6 +940,82 @@ StressReport RunTransportParity(const StressConfig& config) {
   report.cycles = faultless.cycles;
   report.full_syncs = bus_driver.coordinator().full_syncs();
   FillReport(checker, faultless, "parity", &report);
+  return report;
+}
+
+StressReport RunDriverEquivalence(const StressConfig& config) {
+  SGM_CHECK(config.protocol == StressProtocol::kSgm);
+  StressReport report;
+  const StressConfig faultless = Faultless(config);
+
+  // One workload feeds both drivers; both draw their coins from the same
+  // protocol seed.
+  RuntimeLeg leg(faultless);
+  const RuntimeConfig node = leg.NodeConfig();
+  RuntimeDriver driver(faultless.num_sites, *leg.function_, node);
+  SgmOptions options;
+  options.seed = node.seed;
+  options.escalate_after_consecutive_alarms = 0;
+  options.escalate_probe_fraction = 0.0;
+  SamplingGeometricMonitor sim(*leg.function_, node.threshold,
+                               node.max_step_norm, options);
+  sim.set_drift_norm_cap(node.drift_norm_cap);
+
+  InvariantChecker checker(InvariantOptions{});
+  Metrics metrics;
+  std::vector<Vector> locals;
+  leg.source_.Advance(&locals);
+  sim.Initialize(locals, &metrics);
+  driver.Initialize(locals);
+
+  const auto kind = [](bool full, bool partial) {
+    return full ? "full" : partial ? "partial" : "none";
+  };
+  long full = driver.coordinator().full_syncs();
+  long partial = driver.coordinator().partial_resolutions();
+  bool believed = sim.BelievesAbove();
+  std::vector<int> runtime_sample;
+  long t = 1;
+  for (; t <= faultless.cycles; ++t) {
+    leg.source_.Advance(&locals);
+    const CycleOutcome outcome = sim.OnCycle(locals, &metrics);
+    driver.Tick(locals);
+    const CoordinatorNode& coord = driver.coordinator();
+    const std::string sim_kind =
+        kind(outcome.full_sync, outcome.partial_resolved);
+    const std::string runtime_kind = kind(coord.full_syncs() > full,
+                                          coord.partial_resolutions() > partial);
+    full = coord.full_syncs();
+    partial = coord.partial_resolutions();
+    runtime_sample.clear();
+    for (int i = 0; i < faultless.num_sites; ++i) {
+      if (driver.site(i).in_first_trial()) runtime_sample.push_back(i);
+    }
+
+    std::string mismatch;
+    if (sim.BelievesAbove() != coord.BelievesAbove()) {
+      mismatch = "belief";
+    } else if (sim_kind != runtime_kind) {
+      mismatch = "sync kind (sim " + sim_kind + ", runtime " + runtime_kind +
+                 ")";
+    } else if (sim.first_trial() != runtime_sample) {
+      mismatch = "first-trial set (sim " +
+                 std::to_string(sim.first_trial().size()) + " sites, runtime " +
+                 std::to_string(runtime_sample.size()) + ")";
+    } else if (!(sim.estimate() == coord.estimate())) {
+      mismatch = "estimate";
+    }
+    checker.CheckDriverEquivalence(
+        t, mismatch.empty(),
+        "simulator and runtime SGM first diverge on " + mismatch);
+    if (!mismatch.empty()) break;
+    if (sim.BelievesAbove() != believed) ++report.belief_flips;
+    believed = sim.BelievesAbove();
+  }
+
+  report.cycles = t - 1;
+  report.full_syncs = metrics.full_syncs();
+  FillReport(checker, faultless, "equivalence", &report);
   return report;
 }
 
@@ -995,6 +1080,17 @@ std::vector<StressReport> RunStressSuite(std::uint64_t seed, bool audit,
   parity.seed = DeriveSeed(seed, 3000);
   parity.protocol = StressProtocol::kSgm;
   reports.push_back(RunTransportParity(parity));
+
+  // One decision core: the simulator and runtime SGM agree cycle for cycle.
+  int equivalence_index = 0;
+  for (StressFunction function :
+       {StressFunction::kL2Norm, StressFunction::kLinfDistance}) {
+    StressConfig equivalence;
+    equivalence.seed = DeriveSeed(seed, 3001 + equivalence_index++);
+    equivalence.protocol = StressProtocol::kSgm;
+    equivalence.function = function;
+    reports.push_back(RunDriverEquivalence(equivalence));
+  }
 
   return reports;
 }

@@ -108,7 +108,7 @@ struct StressConfig {
 /// Outcome of one stress leg.
 struct StressReport {
   StressConfig config;
-  std::string leg;  ///< "sim", "runtime" or "parity"
+  std::string leg;  ///< "sim", "runtime", "parity" or "equivalence"
   std::vector<InvariantViolation> violations;
   long cycles = 0;
   long fn_cycles = 0;       ///< cycles with belief != oracle truth
@@ -117,6 +117,7 @@ struct StressReport {
   /// fault swallowed part of the collection round.
   long degraded_syncs = 0;
   long max_observed_run = 0;  ///< longest out-of-zone disagreement run
+  long belief_flips = 0;  ///< equivalence leg: cycles the belief changed
   // Runtime legs only: reliability-layer activity (zero on faultless runs).
   long retransmissions = 0;     ///< ack-timeout retransmissions sent
   long rejoins_granted = 0;     ///< coordinator rejoin grants issued
@@ -158,11 +159,20 @@ StressReport RunRuntimeStress(const StressConfig& config);
 /// transport-layers invariant.
 StressReport RunTransportParity(const StressConfig& config);
 
+/// Equivalence leg: the simulator's SGM (escalation knobs off — the runtime
+/// has none) and a fault-free RuntimeDriver, both built from `config`'s
+/// seed, fed the same workload. Every cycle they must agree exactly on
+/// belief, sync kind (none / partial / full), first-trial site set and
+/// estimate; the first divergence is reported with its cycle and the leg
+/// stops there. Proves both drivers run one decision core (gm/sgm_core.h).
+StressReport RunDriverEquivalence(const StressConfig& config);
+
 /// The full matrix for one master seed: {GM, BGM, SGM, CVSGM} × {L2, L∞}
 /// sim legs, runtime legs under increasingly hostile fault profiles (for
-/// both functions), and a parity leg. Sub-seeds are derived per leg so the
-/// legs stay independent. With `audit` the accuracy auditor rides along on
-/// every sim/runtime leg (the parity leg has no oracle to audit against).
+/// both functions), a parity leg, and an equivalence leg per function.
+/// Sub-seeds are derived per leg so the legs stay independent. With `audit`
+/// the accuracy auditor rides along on every sim/runtime leg (the parity
+/// and equivalence legs have no oracle to audit against).
 /// With `coord_crash > 0` every runtime leg additionally injects
 /// coordinator crashes at that per-cycle probability (downtime bounded by
 /// `coord_down`) and checks the recovery invariants.

@@ -386,7 +386,7 @@ TEST(ReliableTransportTest, MidQueueAckRetransmitsOnlyTheRestInSeqOrder) {
   EXPECT_FALSE(rt.HasUnacked());
 }
 
-TEST(ReliableTransportTest, EvictionTakesOldestAcrossSendersPastHoles) {
+TEST(ReliableTransportTest, EvictionTakesOldestOnItsLinkPastHoles) {
   InMemoryBus bus;
   SteppedRoundClock clock(4);
   ReliableTransportConfig config;
@@ -395,20 +395,24 @@ TEST(ReliableTransportTest, EvictionTakesOldestAcrossSendersPastHoles) {
   ReliableTransport rt(&bus, 2, config);
 
   // Site 0 sends seqs 1..3 to the coordinator; the coordinator acks seq 2,
-  // leaving site 0's queue as [1, hole, 3].
+  // leaving site 0's queue as [1, hole, 3]. Site 1 has one report on its
+  // own link, so the coordinator awaits four reports: over the cap of 3 as
+  // a destination, but no link is.
   for (int i = 0; i < 3; ++i) rt.Send(Report(0));
   DrainSeqs(&bus);
   RuntimeMessage second = Report(0);
   second.seq = 2;
   DeliverTo(&rt, 0, AckOf(second, kCoordinatorId));
-  rt.Send(Report(1));  // site 1 seq 1: three expectations on the coordinator
+  rt.Send(Report(1));
+  rt.Send(Report(0));  // site 0 seq 4: its link is now at the cap
   DrainSeqs(&bus);
   EXPECT_EQ(rt.stats().queue_evictions, 0);
 
-  // At the cap, each new send evicts the oldest live expectation in
-  // (sender, seq) order: site 0's seq 1, then — past the hole — seq 3.
-  rt.Send(Report(1));
-  rt.Send(Report(1));
+  // Each further send on site 0's link evicts that link's oldest live
+  // expectation: seq 1, then — past the hole — seq 3. Site 1's report is on
+  // another link and stays tracked.
+  rt.Send(Report(0));
+  rt.Send(Report(0));
   DrainSeqs(&bus);
   EXPECT_EQ(rt.stats().queue_evictions, 2);
 
@@ -419,7 +423,7 @@ TEST(ReliableTransportTest, EvictionTakesOldestAcrossSendersPastHoles) {
     retransmitted.emplace_back(copy.from, copy.seq);
   }
   EXPECT_EQ(retransmitted, (std::vector<std::pair<int, std::int64_t>>{
-                               {1, 1}, {1, 2}, {1, 3}}));
+                               {0, 4}, {0, 5}, {0, 6}, {1, 1}}));
 }
 
 TEST(ReliableTransportTest, AbandonSenderWithHolesKeepsPeerCountsExact) {

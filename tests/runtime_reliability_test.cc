@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "data/jester_like.h"
 #include "functions/l2_norm.h"
+#include "functions/linf_distance.h"
 #include "runtime/driver.h"
 
 namespace sgm {
@@ -228,6 +230,33 @@ TEST(RuntimeReliabilityTest, FaultFreeRunNeverRetransmits) {
   EXPECT_EQ(driver.reliable_transport().stats().give_ups, 0);
   EXPECT_EQ(driver.reliable_transport().stats().duplicates_suppressed, 0);
   EXPECT_EQ(driver.coordinator().audit().stale_epoch_applied, 0);
+}
+
+TEST(RuntimeReliabilityTest, FullSyncAboveInFlightCapEvictsNothing) {
+  // The in-flight cap bounds each directed link, so a full sync's 700 state
+  // reports — one per site → coordinator link — never crowd each other out
+  // of retransmission tracking on a fault-free network, even though 700
+  // exceeds the 256-entry cap.
+  JesterLikeConfig workload;
+  workload.num_sites = 700;
+  workload.window = 50;
+  workload.seed = 5;
+  JesterLikeGenerator source(workload);
+  const LInfDistance distance{Vector(workload.num_buckets)};
+  RuntimeConfig config = Config(5.0, source.max_step_norm());
+  config.drift_norm_cap = source.max_drift_norm();
+  ASSERT_LT(config.reliability.max_in_flight_per_peer, workload.num_sites);
+  RuntimeDriver driver(workload.num_sites, distance, config);
+  std::vector<Vector> locals;
+  source.Advance(&locals);
+  driver.Initialize(locals);
+  for (int t = 0; t < 60; ++t) {
+    source.Advance(&locals);
+    driver.Tick(locals);
+  }
+  EXPECT_GE(driver.coordinator().full_syncs(), 1);
+  EXPECT_EQ(driver.reliable_transport().stats().queue_evictions, 0);
+  EXPECT_EQ(driver.reliable_transport().stats().retransmissions, 0);
 }
 
 }  // namespace

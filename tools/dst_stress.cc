@@ -9,11 +9,12 @@
 //              --drop=0.25 --delay=3     # replay one leg
 //   dst_stress --leg=sim --protocol=SGM --function=linf --seed=5 \
 //              --sabotage                # force a violation (tolerance = 0)
+//   dst_stress --leg=equivalence --seed=9 # sim vs runtime SGM, cycle for cycle
 //
 // Flags:
 //   --seeds      number of master seeds for the sweep mode     [20]
 //   --seed       master (sweep) or leg seed (with --leg)       [1]
-//   --leg        sim | runtime | parity  (selects replay mode)
+//   --leg        sim | runtime | parity | equivalence  (selects replay mode)
 //   --protocol   GM | BGM | SGM | CVSGM                        [SGM]
 //   --function   l2 | linf                                     [l2]
 //   --sites      sites N                                       [24]
@@ -95,7 +96,8 @@ constexpr double kFnRateGate = 0.11;
 
 bool AuditFailed(const sgm::StressReport& report) {
   if (!report.config.audit) return false;
-  if (report.leg == "parity") return false;  // no oracle on the parity leg
+  // No oracle on the parity and equivalence legs.
+  if (report.leg == "parity" || report.leg == "equivalence") return false;
   return report.audit.bound_violations > 0 ||
          report.audit.fn_rate() > kFnRateGate;
 }
@@ -269,8 +271,11 @@ int main(int argc, char** argv) {
     reports.push_back(sgm::RunRuntimeStress(flags.config));
   } else if (flags.leg == "parity") {
     reports.push_back(sgm::RunTransportParity(flags.config));
+  } else if (flags.leg == "equivalence") {
+    reports.push_back(sgm::RunDriverEquivalence(flags.config));
   } else {
-    std::fprintf(stderr, "unknown --leg=%s (sim | runtime | parity)\n",
+    std::fprintf(stderr,
+                 "unknown --leg=%s (sim | runtime | parity | equivalence)\n",
                  flags.leg.c_str());
     return 2;
   }
