@@ -116,9 +116,9 @@ AccuracyAuditor::Verdict AccuracyAuditor::ObserveCycle(
       if (violations_ != nullptr) violations_->Increment();
       if (config_.telemetry != nullptr) {
         config_.telemetry->trace.Emit(
-            "audit", "bound_violation", -1,
-            {{"kind", sample.believed_above ? "false_positive"
-                                            : "false_negative"},
+            TraceEventId::kBoundViolation, -1,
+            {{"kind", sample.believed_above ? StaticString("false_positive")
+                                            : StaticString("false_negative")},
              {"span", run_span_},
              {"run", out_of_zone_run_},
              {"abs_error", abs_error},

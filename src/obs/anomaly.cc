@@ -109,9 +109,9 @@ void AnomalyDetector::ObserveCycle(long cycle,
       if (trace_ != nullptr) {
         // Actor -1: alerts are a deployment-level verdict, reported on the
         // coordinator's pseudo-thread like other global events.
-        trace_->Emit("alert", "alert_raised", -1,
-                     {{"metric", alert.metric},
-                      {"kind", alert.kind},
+        trace_->Emit(TraceEventId::kAlertRaised, -1,
+                     {{"metric", trace_->Intern(alert.metric)},
+                      {"kind", trace_->Intern(alert.kind)},
                       {"value", alert.value},
                       {"mean", alert.mean},
                       {"z", alert.z}});

@@ -35,7 +35,7 @@ FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),
       slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
 
-void FlightRecorder::Record(const std::string& line) {
+void FlightRecorder::Record(std::string_view line) {
   if (line.size() > kSlotBytes) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 namespace sgm {
 
@@ -34,7 +35,7 @@ class FlightRecorder {
 
   /// Appends one rendered JSONL line (without trailing newline) to the
   /// ring, overwriting the oldest entry when full.
-  void Record(const std::string& line);
+  void Record(std::string_view line);
 
   /// The current window, oldest line first, one event per line — the
   /// /flightrecorder HTTP payload and the on-demand dump format.

@@ -1,12 +1,21 @@
 #ifndef SGM_OBS_TRACE_H_
 #define SGM_OBS_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
+#include <memory>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
+
+#include "core/static_string.h"
+#include "obs/trace_catalog.h"
 
 namespace sgm {
 
@@ -43,21 +52,59 @@ constexpr bool SpanUnsampled(std::int64_t span) {
 bool TraceSampleDecision(std::uint64_t seed, std::int64_t root_span,
                          double rate);
 
-/// One structured argument of a trace event. Values are integers, doubles
-/// or short strings; keys are lower_snake identifiers.
+/// A string copied once into one TraceLog's string table
+/// (TraceLog::Intern), for text that has no static storage. Only
+/// meaningful in the log that made it.
+class InternedString {
+ private:
+  friend class TraceLog;
+  friend class TraceField;
+  explicit InternedString(std::uint32_t index) : index_(index) {}
+  std::uint32_t index_;
+};
+
+/// One argument of an emitted event: a catalog key plus an integer, a
+/// double or a string that outlives the log (static or interned). Trivially
+/// copyable, so TraceLog stores fields by copying their bytes.
+class TraceField {
+ public:
+  enum class Kind : std::uint8_t { kInt, kDouble, kStatic, kInterned };
+
+  TraceField(TraceKey key, std::int64_t value)
+      : key_(key), kind_(Kind::kInt), int_(value) {}
+  TraceField(TraceKey key, int value)
+      : TraceField(key, static_cast<std::int64_t>(value)) {}
+  TraceField(TraceKey key, double value)
+      : key_(key), kind_(Kind::kDouble), double_(value) {}
+  TraceField(TraceKey key, StaticString value)
+      : key_(key), kind_(Kind::kStatic), static_(value.c_str()) {}
+  TraceField(TraceKey key, InternedString value)
+      : key_(key), kind_(Kind::kInterned), interned_(value.index_) {}
+
+ private:
+  friend class TraceLog;
+
+  TraceKey key_;
+  Kind kind_;
+  union {
+    std::int64_t int_;
+    double double_;
+    const char* static_;
+    std::uint32_t interned_;
+  };
+};
+
+/// One argument of a decoded trace event (TraceLog::events, or a line read
+/// back from a JSONL file). Keys and strings are owned copies.
 struct TraceArg {
   enum class Kind { kInt, kDouble, kString };
 
   TraceArg(std::string k, std::int64_t v)
       : key(std::move(k)), kind(Kind::kInt), int_value(v) {}
-  TraceArg(std::string k, int v)
-      : TraceArg(std::move(k), static_cast<std::int64_t>(v)) {}
   TraceArg(std::string k, double v)
       : key(std::move(k)), kind(Kind::kDouble), double_value(v) {}
   TraceArg(std::string k, std::string v)
       : key(std::move(k)), kind(Kind::kString), string_value(std::move(v)) {}
-  TraceArg(std::string k, const char* v)
-      : TraceArg(std::move(k), std::string(v)) {}
 
   std::string key;
   Kind kind;
@@ -66,18 +113,18 @@ struct TraceArg {
   std::string string_value;
 };
 
-/// One protocol-lifecycle event.
+/// One protocol-lifecycle event in decoded form.
 ///
 /// Timestamps are *logical*: `ts` is the event's position in the run (a
-/// process-wide monotone index, incremented per emit) and `cycle` the update
-/// cycle it occurred in. No wall clock enters a trace, so a replay from the
-/// same seed reproduces the file byte-for-byte (the determinism contract
-/// dst_stress and the CI trace job rely on).
+/// process-wide monotone index, incremented per recorded event) and `cycle`
+/// the update cycle it occurred in. No wall clock enters a trace, so a
+/// replay from the same seed reproduces the file byte-for-byte (the
+/// determinism contract dst_stress and the CI trace job rely on).
 struct TraceEvent {
   long ts = 0;       ///< monotone per-log event index (logical time)
   long cycle = 0;    ///< update cycle the event belongs to
   std::string cat;   ///< "protocol" | "reliability" | "failure" | "fault" | ...
-  std::string name;  ///< event type, see docs/OBSERVABILITY.md catalog
+  std::string name;  ///< event type, see kTraceCatalog
   int actor = 0;     ///< site id, or kCoordinatorId (-1) for the coordinator
   /// Emitting process label (`"coordinator"`, `"site-3"`, ...). Empty in
   /// single-process runs; set via TraceLog::SetProcess in daemon/fork
@@ -96,9 +143,18 @@ struct TraceEvent {
 /// output. Thread-safe (a mutex serializes emits); in the single-threaded
 /// simulation drivers the emit order — and therefore the file — is fully
 /// deterministic.
+///
+/// Recorded events are packed records (a 24-byte header plus 16 bytes per
+/// field) in a chain of 64 KiB chunks allocated as the log grows, so
+/// recording an event allocates nothing beyond the chunk it lands in. The
+/// writers render straight from the records.
 class TraceLog {
  public:
-  TraceLog() = default;
+  /// Most fields one event may carry.
+  static constexpr std::size_t kMaxFields = 8;
+
+  TraceLog();
+  ~TraceLog();
   TraceLog(const TraceLog&) = delete;
   TraceLog& operator=(const TraceLog&) = delete;
 
@@ -121,8 +177,19 @@ class TraceLog {
   void SetEpoch(long epoch);
   long epoch() const;
 
-  void Emit(std::string cat, std::string name, int actor,
-            std::vector<TraceArg> args = {});
+  /// Copies `text` into this log's string table (once per distinct text)
+  /// and returns its handle, for string fields without static storage.
+  InternedString Intern(std::string_view text);
+
+  /// Records one event of kind `id` for `actor`, unless sampling skips it.
+  /// The sampling gate reads only the catalog row (and, for cascade
+  /// events, the span field), so a skipped event costs a counter bump.
+  void Emit(TraceEventId id, int actor,
+            std::initializer_list<TraceField> fields = {}) {
+    Emit(id, actor, std::span<const TraceField>(fields.begin(),
+                                                fields.size()));
+  }
+  void Emit(TraceEventId id, int actor, std::span<const TraceField> fields);
 
   /// Arms head-based sampling: cascade events whose span carries
   /// kSpanUnsampledBit are skipped, and span-less high-volume "noise"
@@ -153,7 +220,7 @@ class TraceLog {
   SelfCost self_cost() const;
 
   std::size_t size() const;
-  /// Snapshot accessor for tests; copies under the lock.
+  /// The recorded events in decoded form, copied under the lock.
   std::vector<TraceEvent> events() const;
 
   /// One `{"ts":..,"cycle":..,"cat":..,"name":..,"actor":..,"args":{..}}`
@@ -166,33 +233,54 @@ class TraceLog {
   /// thread_name metadata rows.
   void WriteChromeTrace(std::ostream& out) const;
 
+  /// The JSONL line of a decoded event, byte-identical to the line
+  /// WriteJsonl wrote for it.
   static void AppendEventJson(const TraceEvent& event, std::ostream& out);
 
  private:
-  /// The sampling gate; caller holds mu_. Strips span tags from `args` and
-  /// returns whether the event is recorded.
-  bool ShouldRecordLocked(const std::string& cat, const std::string& name,
-                          int actor, std::vector<TraceArg>* args);
+  struct Chunk;
+  struct RecordHeader;
+  class RecordView;
+
+  /// Calls `visit(view)` for each record in emit order; caller holds mu_.
+  template <typename Visit>
+  void ForEachRecordLocked(Visit&& visit) const;
+  /// Sampling gate for one emit at a rate below 1; caller holds mu_.
+  bool SampledLocked(TraceEventId id, int actor,
+                     std::span<const TraceField> fields) const;
+  /// `bytes` of fresh record space, 8-aligned; caller holds mu_.
+  unsigned char* AllocateLocked(std::size_t bytes);
+  InternedString InternLocked(std::string_view text);
 
   mutable std::mutex mu_;
   long cycle_ = 0;
-  long next_ts_ = 0;
-  std::string proc_;
+  /// String-table index + 1 of the process label; 0 = unset.
+  std::uint16_t proc_ = 0;
   long epoch_ = -1;
   double sample_rate_ = 1.0;
   std::uint64_t sample_seed_ = 0;
   FlightRecorder* flight_ = nullptr;
+  /// Reused buffer the flight-recorder line is rendered into.
+  std::string flight_line_;
   mutable SelfCost self_cost_;
-  /// Recorded events. A deque never moves what it already holds, so a long
-  /// run's emits stay O(1) instead of periodically copying the whole log.
-  std::deque<TraceEvent> events_;
+  /// Record chunks: head_ owns the chain, tail_ receives new records.
+  std::unique_ptr<Chunk> head_;
+  Chunk* tail_ = nullptr;
+  /// Interned strings; a deque never moves what it holds, so the index
+  /// keys below stay valid as it grows.
+  std::deque<std::string> strings_;
+  std::unordered_map<std::string_view, std::uint32_t> string_index_;
 };
+
+/// Chrome trace_event JSON for decoded events (trace_inspect --chrome), in
+/// the format TraceLog::WriteChromeTrace writes.
+void WriteChromeTrace(const std::vector<TraceEvent>& events,
+                      std::ostream& out);
 
 /// Validates one JSONL trace line against the event schema: structural keys
 /// (ts/cycle/cat/name/actor/args), a known event name, the name's expected
-/// category, and its required argument keys. Returns false and fills
-/// `error` on the first problem. The catalog lives in trace.cc and is
-/// documented in docs/OBSERVABILITY.md.
+/// category, and its required argument keys, all read from kTraceCatalog.
+/// Returns false and fills `error` on the first problem.
 bool ValidateTraceJsonLine(const std::string& line, std::string* error);
 
 /// JSON string escaping shared by the trace/metric writers.

@@ -108,7 +108,7 @@ void CoordinatorNode::WriteSnapshot() {
   config_.checkpoint_store->PutSnapshot(std::move(bytes));
   ++recovery_stats_.snapshots_written;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("recovery", "checkpoint_write", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kCheckpointWrite, kCoordinatorId,
                            {{"epoch", epoch_}, {"bytes", size}});
   }
 }
@@ -190,19 +190,19 @@ bool CoordinatorNode::Recover() {
     // The coordinator issues the trace epoch: every subsequent event of
     // this incarnation carries the fenced epoch as its tepoch stamp.
     telemetry_->trace.SetEpoch(epoch_);
-    telemetry_->trace.Emit("protocol", "epoch_bump", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kEpochBump, kCoordinatorId,
                            {{"epoch", epoch_}});
     telemetry_->trace.Emit(
-        "recovery", "recovery_begin", kCoordinatorId,
+        TraceEventId::kRecoveryBegin, kCoordinatorId,
         {{"span", recovery_span},
          {"epoch", epoch_},
          {"wal_replayed", rec.wal_records_replayed}});
     if (rec.snapshots_discarded > 0) {
-      telemetry_->trace.Emit("recovery", "snapshot_fallback", kCoordinatorId,
+      telemetry_->trace.Emit(TraceEventId::kSnapshotFallback, kCoordinatorId,
                              {{"discarded", rec.snapshots_discarded}});
     }
     if (rec.torn_wal_bytes > 0) {
-      telemetry_->trace.Emit("recovery", "wal_torn_tail", kCoordinatorId,
+      telemetry_->trace.Emit(TraceEventId::kWalTornTail, kCoordinatorId,
                              {{"bytes", rec.torn_wal_bytes}});
     }
   }
@@ -233,7 +233,7 @@ bool CoordinatorNode::Recover() {
   }
   if (telemetry_ != nullptr) {
     telemetry_->trace.Emit(
-        "recovery", "recovery_complete", kCoordinatorId,
+        TraceEventId::kRecoveryComplete, kCoordinatorId,
         {{"span", recovery_span},
          {"epoch", epoch_},
          {"grants", recovery_stats_.reconcile_grants}});
@@ -288,7 +288,7 @@ void CoordinatorNode::BumpEpoch() {
   ++epoch_;
   if (telemetry_ != nullptr) {
     telemetry_->trace.SetEpoch(epoch_);
-    telemetry_->trace.Emit("protocol", "epoch_bump", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kEpochBump, kCoordinatorId,
                            {{"epoch", epoch_}});
   }
   // Logged before the round's first message is sent (both callers bump
@@ -302,7 +302,7 @@ std::int64_t CoordinatorNode::TagSpan(std::int64_t span) const {
   return cascade_sampled_ ? span : span | kSpanUnsampledBit;
 }
 
-void CoordinatorNode::EnsureCycleSpan(const char* trigger) {
+void CoordinatorNode::EnsureCycleSpan(StaticString trigger) {
   if (cycle_span_ != 0) return;  // escalation continues the existing tree
   const std::int64_t root = MintSpan();
   // The head-based sampling decision is minted with the root span and
@@ -313,9 +313,9 @@ void CoordinatorNode::EnsureCycleSpan(const char* trigger) {
   cycle_span_ = TagSpan(root);
   last_cycle_span_ = cycle_span_;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("protocol", "sync_cycle_begin", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kSyncCycleBegin, kCoordinatorId,
                            {{"span", cycle_span_},
-                            {"trigger", std::string(trigger)}});
+                            {"trigger", trigger}});
   }
 }
 
@@ -335,7 +335,7 @@ void CoordinatorNode::RequestFullState() {
   received_.assign(num_sites_, false);
   received_count_ = 0;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("protocol", "full_sync_begin", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kFullSyncBegin, kCoordinatorId,
                            {{"epoch", epoch_},
                             {"span", phase_span_},
                             {"parent", cycle_span_}});
@@ -370,7 +370,7 @@ void CoordinatorNode::FinishFullSync(bool degraded) {
   phase_ = Phase::kIdle;
   const std::int64_t broadcast_span = TagSpan(MintSpan());
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("protocol", "full_sync_complete", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kFullSyncComplete, kCoordinatorId,
                            {{"epoch", epoch_},
                             {"degraded", degraded ? 1 : 0},
                             {"span", phase_span_},
@@ -404,7 +404,7 @@ void CoordinatorNode::ResolvePartial(long cooldown) {
   phase_ = Phase::kIdle;
   const std::int64_t resolve_span = TagSpan(MintSpan());
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("protocol", "partial_resolution", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kPartialResolution, kCoordinatorId,
                            {{"span", resolve_span}, {"parent", cycle_span_}});
   }
   WalRecord record;
@@ -444,7 +444,7 @@ void CoordinatorNode::MaybeGrantRejoin(int site) {
   // site outside any sync cascade.
   const std::int64_t grant_span = MintSpan();
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("reliability", "rejoin_grant", site,
+    telemetry_->trace.Emit(TraceEventId::kRejoinGrant, site,
                            {{"epoch", epoch_}, {"span", grant_span}});
   }
   WalRecord record;
@@ -550,7 +550,7 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
   if (!control && message.epoch < epoch_) {
     ++audit_.stale_epoch_drops;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("protocol", "stale_epoch_drop", kCoordinatorId,
+      telemetry_->trace.Emit(TraceEventId::kStaleEpochDrop, kCoordinatorId,
                              {{"msg_epoch", message.epoch}});
     }
     return;
@@ -576,7 +576,7 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
       probe_g_.assign(num_sites_, 0.0);
       probe_reports_ = 0;
       if (telemetry_ != nullptr) {
-        telemetry_->trace.Emit("protocol", "probe_begin", kCoordinatorId,
+        telemetry_->trace.Emit(TraceEventId::kProbeBegin, kCoordinatorId,
                                {{"epoch", epoch_},
                                 {"span", phase_span_},
                                 {"parent", cycle_span_}});
@@ -619,7 +619,7 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
         // handshake's fresh state: last-known is refreshed, nothing else.
         ++audit_.late_reports;
         if (telemetry_ != nullptr) {
-          telemetry_->trace.Emit("protocol", "late_report", kCoordinatorId,
+          telemetry_->trace.Emit(TraceEventId::kLateReport, kCoordinatorId,
                                  {{"site", site}});
         }
         return;
@@ -648,7 +648,7 @@ bool CoordinatorNode::OnBarrierDeadlineMissed(int site) {
     reliable_->MarkLinkDown(site);
   }
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("degraded", "site_quarantined", site,
+    telemetry_->trace.Emit(TraceEventId::kSiteQuarantined, site,
                            {{"cycle", cycle_}});
   }
   return true;
@@ -662,7 +662,7 @@ void CoordinatorNode::OnBarrierDeadlineMet(int site) {
 void CoordinatorNode::RecordDegradedCycle(int missing_sites) {
   ++degraded_cycles_;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("degraded", "degraded_cycle", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kDegradedCycle, kCoordinatorId,
                            {{"cycle", cycle_}, {"missing", missing_sites}});
   }
 }
@@ -686,7 +686,7 @@ void CoordinatorNode::OnQuiescent() {
         if (received_[site] || !fd_.IsLive(site)) continue;
         ++audit_.sync_rerequests;
         if (telemetry_ != nullptr) {
-          telemetry_->trace.Emit("protocol", "sync_rerequest", kCoordinatorId,
+          telemetry_->trace.Emit(TraceEventId::kSyncRerequest, kCoordinatorId,
                                  {{"epoch", epoch_},
                                   {"site", site},
                                   {"span", phase_span_}});

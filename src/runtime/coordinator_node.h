@@ -195,7 +195,7 @@ class CoordinatorNode {
   std::int64_t TagSpan(std::int64_t span) const;
   /// Opens the root span of a sync cascade if none is active and traces the
   /// sync_cycle_begin event. `trigger` names what started the cascade.
-  void EnsureCycleSpan(const char* trigger);
+  void EnsureCycleSpan(StaticString trigger);
   /// Marks the in-flight cascade finished (spans only; phase_ is managed by
   /// the protocol logic).
   void CloseCycleSpan();

@@ -144,7 +144,7 @@ void CoordinatorServer::ReaderLoop(int fd) {
       ++site_disconnects_;
       ++topology_version_;
       if (config_.runtime.telemetry != nullptr) {
-        config_.runtime.telemetry->trace.Emit("session", "site_disconnect",
+        config_.runtime.telemetry->trace.Emit(TraceEventId::kSiteDisconnect,
                                               site);
       }
     }
@@ -178,13 +178,13 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
         registered_[site] = true;
         ++hellos_;
         if (telemetry != nullptr) {
-          telemetry->trace.Emit("session", "site_hello", site, {{"fd", fd}});
+          telemetry->trace.Emit(TraceEventId::kSiteHello, site, {{"fd", fd}});
         }
       } else {
         ++site_rehellos_;
         reliable_->MarkLinkUp(site);
         if (telemetry != nullptr) {
-          telemetry->trace.Emit("session", "site_rehello", site,
+          telemetry->trace.Emit(TraceEventId::kSiteRehello, site,
                                 {{"fd", fd}});
         }
         // The rejoiner missed this cycle's observe trigger; a unicast
@@ -298,7 +298,7 @@ int CoordinatorServer::HandleBarrierDeadlineLocked() {
   if (missed > 0) coordinator_->RecordDegradedCycle(missed);
   if (config_.runtime.telemetry != nullptr) {
     config_.runtime.telemetry->trace.Emit(
-        "degraded", "barrier_deadline", kCoordinatorId,
+        TraceEventId::kBarrierDeadline, kCoordinatorId,
         {{"missed", missed}, {"quarantined", quarantined}});
   }
   return missed;
@@ -342,7 +342,7 @@ bool CoordinatorServer::AwaitQuiescence() {
         slow_warned = true;
         if (config_.runtime.telemetry != nullptr) {
           config_.runtime.telemetry->trace.Emit(
-              "degraded", "barrier_slow", kCoordinatorId,
+              TraceEventId::kBarrierSlow, kCoordinatorId,
               {{"deadline_ms", config_.barrier_deadline_ms}});
         }
       }

@@ -104,7 +104,7 @@ void RuntimeDriver::CrashCoordinator() {
   ++coordinator_crashes_;
   crash_after_messages_ = 0;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("fault", "coordinator_crash", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kCoordinatorCrash, kCoordinatorId,
                            {{"epoch", last_crash_epoch_}});
   }
   coordinator_.reset();

@@ -60,13 +60,13 @@ void FailureDetector::RecordDeath(int site) {
                      [horizon](long c) { return c < horizon; }),
       s.death_cycles.end());
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("failure", "dead", site, {{"deaths", s.deaths}});
+    telemetry_->trace.Emit(TraceEventId::kDead, site, {{"deaths", s.deaths}});
   }
   if (static_cast<int>(s.death_cycles.size()) >=
       config_.flap_death_threshold) {
     s.quarantine_until = cycle_ + s.quarantine;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("failure", "quarantined", site,
+      telemetry_->trace.Emit(TraceEventId::kQuarantined, site,
                              {{"until_cycle", s.quarantine_until}});
     }
   }
@@ -80,14 +80,14 @@ void FailureDetector::Escalate(int site) {
     RecordDeath(site);
   } else if (misses > s.suspect_after) {
     if (telemetry_ != nullptr && s.state != State::kSuspect) {
-      telemetry_->trace.Emit("failure", "suspect", site,
+      telemetry_->trace.Emit(TraceEventId::kSuspect, site,
                              {{"misses", misses}});
     }
     s.state = State::kSuspect;
   } else if (misses >= 2 && telemetry_ != nullptr) {
     // One silent cycle is routine scheduling noise; two or more is a
     // trend worth a breadcrumb before the suspect threshold trips.
-    telemetry_->trace.Emit("failure", "heartbeat_miss", site,
+    telemetry_->trace.Emit(TraceEventId::kHeartbeatMiss, site,
                            {{"misses", misses}});
   }
 }
@@ -113,7 +113,7 @@ void FailureDetector::ReportUnreachable(int site) {
   SiteState& s = sites_[site];
   if (s.state == State::kDead || s.state == State::kRejoining) return;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("failure", "unreachable", site);
+    telemetry_->trace.Emit(TraceEventId::kUnreachable, site);
   }
   RecordDeath(site);
 }
@@ -126,7 +126,7 @@ bool FailureDetector::RecordMissedDeadline(int site) {
   if (s.state != State::kAlive && s.state != State::kSuspect) return false;
   ++s.deadline_misses;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("failure", "deadline_miss", site,
+    telemetry_->trace.Emit(TraceEventId::kDeadlineMiss, site,
                            {{"misses", s.deadline_misses}});
   }
   if (s.deadline_misses < s.lagging_after) return false;
@@ -135,7 +135,7 @@ bool FailureDetector::RecordMissedDeadline(int site) {
   s.deadline_misses = 0;
   ++total_lagging_verdicts_;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("failure", "lagging", site,
+    telemetry_->trace.Emit(TraceEventId::kLagging, site,
                            {{"since_cycle", s.lagging_since}});
   }
   return true;
@@ -152,7 +152,7 @@ void FailureDetector::BeginRejoin(int site) {
       sites_[site].state == State::kLagging) {
     sites_[site].state = State::kRejoining;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("failure", "rejoin_begin", site);
+      telemetry_->trace.Emit(TraceEventId::kRejoinBegin, site);
     }
   }
 }
@@ -173,7 +173,7 @@ void FailureDetector::CompleteRejoin(int site) {
     staleness_cycles_max_ = std::max(staleness_cycles_max_, staleness);
     s.lagging_since = -1;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("failure", "lag_recovered", site,
+      telemetry_->trace.Emit(TraceEventId::kLagRecovered, site,
                              {{"staleness_cycles", staleness}});
     }
   }
@@ -181,7 +181,7 @@ void FailureDetector::CompleteRejoin(int site) {
   s.last_heard_cycle = cycle_;
   s.deadline_misses = 0;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("failure", "rejoin_complete", site);
+    telemetry_->trace.Emit(TraceEventId::kRejoinComplete, site);
   }
 }
 

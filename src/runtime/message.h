@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/static_string.h"
 #include "core/vector.h"
 
 namespace sgm {
@@ -175,7 +176,7 @@ struct RuntimeMessage {
     return !retransmit && !is_reliability_control() && !is_session_control();
   }
 
-  static const char* TypeName(Type type);
+  static StaticString TypeName(Type type);
 };
 
 }  // namespace sgm

@@ -132,7 +132,7 @@ void ReliableTransport::EvictOldestOn(int sender, int dest) {
     if (!Awaits(entry, dest)) continue;
     ++stats_.queue_evictions;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("reliability", "queue_evict", sender,
+      telemetry_->trace.Emit(TraceEventId::kQueueEvict, sender,
                              {{"dest", dest}, {"seq", entry.message.seq}});
     }
     if (ReleaseAwait(&entry, dest)) PopResolved(slot);
@@ -221,7 +221,7 @@ void ReliableTransport::Send(const RuntimeMessage& message) {
     // acks, rejoin requests) stays out of the span trees, and an unsampled
     // cascade skips the whole formatting call, not just the recording.
     telemetry_->trace.Emit(
-        "transport", "msg_send", stamped.from,
+        TraceEventId::kMsgSend, stamped.from,
         {{"type", RuntimeMessage::TypeName(stamped.type)},
          {"span", stamped.span},
          {"parent", stamped.parent_span},
@@ -289,7 +289,7 @@ void ReliableTransport::OnDeliver(int receiver, const RuntimeMessage& message,
   if (duplicate) {
     ++stats_.duplicates_suppressed;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("reliability", "duplicate_suppressed", receiver,
+      telemetry_->trace.Emit(TraceEventId::kDuplicateSuppressed, receiver,
                              {{"sender", message.from}, {"seq", message.seq}});
     }
     Ack(receiver, message);  // the previous ack may have been lost
@@ -328,7 +328,7 @@ void ReliableTransport::AdvanceRound() {
         ++stats_.give_ups;
         if (telemetry_ != nullptr) {
           telemetry_->trace.Emit(
-              "reliability", "give_up", entry.message.from,
+              TraceEventId::kGiveUp, entry.message.from,
               {{"sender", entry.message.from}, {"seq", entry.message.seq}});
         }
         ForEachAwaited(entry, [&](int dest) {
@@ -352,7 +352,7 @@ void ReliableTransport::AdvanceRound() {
         ++stats_.retransmissions;
         if (telemetry_ != nullptr && !SpanUnsampled(copy.span)) {
           telemetry_->trace.Emit(
-              "reliability", "retransmit", copy.from,
+              TraceEventId::kRetransmit, copy.from,
               {{"sender", copy.from},
                {"seq", copy.seq},
                {"attempt", entry.attempts},

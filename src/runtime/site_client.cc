@@ -11,12 +11,15 @@
 #include <thread>
 
 #include "core/check.h"
+#include "core/static_string.h"
 #include "core/version.h"
 #include "obs/telemetry.h"
 
 namespace sgm {
 
-const char* SiteExitReasonName(SiteExitReason reason) {
+namespace {
+
+StaticString ExitReasonLabel(SiteExitReason reason) {
   switch (reason) {
     case SiteExitReason::kShutdown: return "shutdown";
     case SiteExitReason::kConnectGiveUp: return "connect-give-up";
@@ -27,6 +30,12 @@ const char* SiteExitReasonName(SiteExitReason reason) {
     case SiteExitReason::kPollError: return "poll-error";
   }
   return "unknown";
+}
+
+}  // namespace
+
+const char* SiteExitReasonName(SiteExitReason reason) {
+  return ExitReasonLabel(reason).c_str();
 }
 
 SiteClient::SiteClient(const MonitoredFunction& function,
@@ -153,8 +162,8 @@ bool SiteClient::Run(const std::function<Vector(long)>& next_vector) {
     TearDownSession();
     reader.Reset();
     if (telemetry != nullptr) {
-      telemetry->trace.Emit("session", "connection_lost", config_.site_id,
-                            {{"reason", SiteExitReasonName(reason)}});
+      telemetry->trace.Emit(TraceEventId::kConnectionLost, config_.site_id,
+                            {{"reason", ExitReasonLabel(reason)}});
     }
     if (reconnects_ >= config_.max_reconnects) return false;
     if (!EstablishSession()) {
@@ -163,7 +172,7 @@ bool SiteClient::Run(const std::function<Vector(long)>& next_vector) {
     }
     ++reconnects_;
     if (telemetry != nullptr) {
-      telemetry->trace.Emit("session", "reconnect", config_.site_id,
+      telemetry->trace.Emit(TraceEventId::kReconnect, config_.site_id,
                             {{"attempt", reconnects_.load()}});
     }
     // The hello above re-registered the connection; now drive the rejoin

@@ -185,7 +185,7 @@ class SiteNode {
   /// Applies a full anchor (estimate + ε_T + epoch): kNewEstimate and
   /// kRejoinGrant share this path; `source` labels the anchor_applied
   /// trace event with which one it was.
-  void ApplyAnchor(const RuntimeMessage& message, const char* source);
+  void ApplyAnchor(const RuntimeMessage& message, StaticString source);
 
   int id_;
   int num_sites_;

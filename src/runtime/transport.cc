@@ -6,7 +6,7 @@
 
 namespace sgm {
 
-const char* RuntimeMessage::TypeName(Type type) {
+StaticString RuntimeMessage::TypeName(Type type) {
   switch (type) {
     case Type::kLocalViolation:
       return "LocalViolation";

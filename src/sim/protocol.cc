@@ -77,13 +77,13 @@ CycleOutcome ProtocolBase::OnCycle(const std::vector<Vector>& local_vectors,
     // The simulator plays both tiers in one object, so outcome events carry
     // the coordinator actor (-1); full_sync_complete is traced by FullSync.
     if (outcome.local_alarm) {
-      telemetry_->trace.Emit("protocol", "local_alarm", -1);
+      telemetry_->trace.Emit(TraceEventId::kLocalAlarm, -1);
     }
     if (outcome.partial_resolved) {
-      telemetry_->trace.Emit("protocol", "partial_resolution", -1);
+      telemetry_->trace.Emit(TraceEventId::kPartialResolution, -1);
     }
     if (outcome.resolved_1d) {
-      telemetry_->trace.Emit("protocol", "one_d_resolution", -1);
+      telemetry_->trace.Emit(TraceEventId::kOneDResolution, -1);
     }
   }
   return outcome;
@@ -127,7 +127,7 @@ bool ProtocolBase::FullSync(const std::vector<Vector>& local_vectors,
   if (telemetry_ != nullptr) {
     // The sim has no transport epochs; the sync ordinal plays that role.
     telemetry_->trace.Emit(
-        "protocol", "full_sync_complete", -1,
+        TraceEventId::kFullSyncComplete, -1,
         {{"epoch", metrics->full_syncs()}, {"degraded", 0}});
   }
   AfterSync(local_vectors, metrics);

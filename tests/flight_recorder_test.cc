@@ -66,10 +66,10 @@ TEST(FlightRecorderTest, MirroredTraceEventsValidateAndParse) {
   log.AttachFlightRecorder(&ring);
   log.SetProcess("coordinator");
   log.SetCycle(4);
-  log.Emit("protocol", "sync_cycle_begin", -1,
+  log.Emit(TraceEventId::kSyncCycleBegin, -1,
            {{"span", 9}, {"trigger", "local_alarm"}});
-  log.Emit("reliability", "heartbeat", 2);
-  log.Emit("protocol", "epoch_bump", -1, {{"epoch", 1}});
+  log.Emit(TraceEventId::kHeartbeat, 2);
+  log.Emit(TraceEventId::kEpochBump, -1, {{"epoch", 1}});
 
   const std::vector<std::string> lines = Lines(ring.DumpString());
   ASSERT_EQ(lines.size(), 3u);
@@ -102,14 +102,14 @@ TEST(FlightRecorderTest, AbortingChildLeavesMergeIngestibleDump) {
     log.AttachFlightRecorder(&ring);
     log.SetProcess("site-3");
     log.SetCycle(11);
-    log.Emit("protocol", "sync_cycle_begin", -1,
+    log.Emit(TraceEventId::kSyncCycleBegin, -1,
              {{"span", 31}, {"trigger", "local_alarm"}});
-    log.Emit("transport", "msg_send", -1,
+    log.Emit(TraceEventId::kMsgSend, -1,
              {{"type", "kProbeRequest"},
               {"span", 32},
               {"parent", 31},
               {"bytes", 64}});
-    log.Emit("reliability", "heartbeat", 3);
+    log.Emit(TraceEventId::kHeartbeat, 3);
     ring.InstallCrashDump(path);
     std::abort();
   }

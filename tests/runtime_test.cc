@@ -161,11 +161,12 @@ TEST(RuntimeTest, SiteFirstTrialFlagConsistent) {
 }
 
 TEST(RuntimeTest, MessageTypeNamesExist) {
-  EXPECT_STREQ(RuntimeMessage::TypeName(
-                   RuntimeMessage::Type::kLocalViolation),
-               "LocalViolation");
-  EXPECT_STREQ(RuntimeMessage::TypeName(RuntimeMessage::Type::kNewEstimate),
-               "NewEstimate");
+  EXPECT_STREQ(
+      RuntimeMessage::TypeName(RuntimeMessage::Type::kLocalViolation).c_str(),
+      "LocalViolation");
+  EXPECT_STREQ(
+      RuntimeMessage::TypeName(RuntimeMessage::Type::kNewEstimate).c_str(),
+      "NewEstimate");
 }
 
 }  // namespace

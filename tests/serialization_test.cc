@@ -139,7 +139,7 @@ TEST(SerializationTest, GoldenWireSizesPerKind) {
     if (golden.payload_dim > 0) m.payload = Vector(golden.payload_dim);
     const auto wire = EncodeMessage(m);
     EXPECT_EQ(wire.size(), golden.wire_size)
-        << RuntimeMessage::TypeName(golden.type) << " dim "
+        << RuntimeMessage::TypeName(golden.type).c_str() << " dim "
         << golden.payload_dim;
     auto decoded = DecodeMessage(wire);
     ASSERT_TRUE(decoded.ok());
@@ -177,7 +177,7 @@ TEST(SerializationTest, AccountingTracksWireSizePerKind) {
     const double accounted = 16.0 + 8.0 * m.PayloadDoubles();
     const double wire = static_cast<double>(EncodeMessage(m).size());
     EXPECT_LT(std::abs(wire - accounted), 48.0)
-        << RuntimeMessage::TypeName(kind.type) << ": wire " << wire
+        << RuntimeMessage::TypeName(kind.type).c_str() << ": wire " << wire
         << " vs accounted " << accounted;
   }
 }

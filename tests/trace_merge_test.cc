@@ -32,9 +32,9 @@ class LogBuilder {
     log_.SetEpoch(epoch);
     return *this;
   }
-  LogBuilder& Emit(const std::string& cat, const std::string& name, int actor,
-                   std::vector<TraceArg> args = {}) {
-    log_.Emit(cat, name, actor, std::move(args));
+  LogBuilder& Emit(TraceEventId id, int actor,
+                   std::initializer_list<TraceField> fields = {}) {
+    log_.Emit(id, actor, fields);
     return *this;
   }
   std::vector<TraceEvent> events() const { return log_.events(); }
@@ -49,18 +49,18 @@ TEST(MergeTraceTimelinesTest, OrdersByCycleThenSpanThenInputOrder) {
   // cycle and span, with the coordinator's events first within a span.
   LogBuilder coord("coordinator");
   coord.Cycle(2)
-      .Emit("protocol", "sync_cycle_begin", -1,
-            {{"span", 5}, {"trigger", std::string("scheduled")}})
+      .Emit(TraceEventId::kSyncCycleBegin, -1,
+            {{"span", 5}, {"trigger", "scheduled"}})
       .Cycle(3)
-      .Emit("protocol", "sync_cycle_begin", -1,
-            {{"span", 9}, {"trigger", std::string("local_violation")}});
+      .Emit(TraceEventId::kSyncCycleBegin, -1,
+            {{"span", 9}, {"trigger", "local_violation"}});
   LogBuilder site("site-0");
   site.Cycle(2)
-      .Emit("transport", "msg_send", 0,
-            {{"type", std::string("DriftReport")}, {"span", 5}, {"bytes", 40}})
+      .Emit(TraceEventId::kMsgSend, 0,
+            {{"type", "DriftReport"}, {"span", 5}, {"bytes", 40}})
       .Cycle(3)
-      .Emit("transport", "msg_send", 0,
-            {{"type", std::string("DriftReport")}, {"span", 9}, {"bytes", 40}});
+      .Emit(TraceEventId::kMsgSend, 0,
+            {{"type", "DriftReport"}, {"span", 9}, {"bytes", 40}});
 
   const std::vector<TraceEvent> merged =
       MergeTraceTimelines({coord.events(), site.events()});
@@ -75,9 +75,9 @@ TEST(MergeTraceTimelinesTest, OrdersByCycleThenSpanThenInputOrder) {
 
 TEST(MergeTraceTimelinesTest, SpanlessEventsSortBeforeCascades) {
   LogBuilder coord("coordinator");
-  coord.Cycle(4).Emit("protocol", "sync_cycle_begin", -1, {{"span", 7}});
+  coord.Cycle(4).Emit(TraceEventId::kSyncCycleBegin, -1, {{"span", 7}});
   LogBuilder site("site-1");
-  site.Cycle(4).Emit("protocol", "local_alarm", 1);  // no span: the trigger
+  site.Cycle(4).Emit(TraceEventId::kLocalAlarm, 1);  // no span: the trigger
   const std::vector<TraceEvent> merged =
       MergeTraceTimelines({coord.events(), site.events()});
   ASSERT_EQ(merged.size(), 2u);
@@ -88,8 +88,8 @@ TEST(MergeTraceTimelinesTest, SpanlessEventsSortBeforeCascades) {
 TEST(MergeTraceTimelinesTest, PreservesPerProcessTsWithoutRestamping) {
   LogBuilder site("site-0");
   site.Cycle(0)
-      .Emit("reliability", "heartbeat", 0)
-      .Emit("reliability", "heartbeat", 0);
+      .Emit(TraceEventId::kHeartbeat, 0)
+      .Emit(TraceEventId::kHeartbeat, 0);
   const std::vector<TraceEvent> merged = MergeTraceTimelines({site.events()});
   ASSERT_EQ(merged.size(), 2u);
   EXPECT_EQ(merged[0].ts, 0);
@@ -98,9 +98,8 @@ TEST(MergeTraceTimelinesTest, PreservesPerProcessTsWithoutRestamping) {
 
 TEST(ParseTraceEventLineTest, RoundTripsProcAndEpochStamps) {
   LogBuilder builder("site-3");
-  builder.Cycle(11).Epoch(4).Emit(
-      "protocol", "anchor_applied", 3,
-      {{"epoch", 4}, {"source", std::string("checkpoint")}});
+  builder.Cycle(11).Epoch(4).Emit(TraceEventId::kAnchorApplied, 3,
+      {{"epoch", 4}, {"source", "checkpoint"}});
   std::ostringstream line;
   TraceLog::AppendEventJson(builder.events()[0], line);
 
@@ -121,7 +120,7 @@ TEST(ParseTraceEventLineTest, StampsAreOmittedWhenUnset) {
   // pre-stamping format — the byte-compatibility contract for existing
   // single-process traces.
   TraceLog log;
-  log.Emit("reliability", "heartbeat", 2);
+  log.Emit(TraceEventId::kHeartbeat, 2);
   std::ostringstream line;
   TraceLog::AppendEventJson(log.events()[0], line);
   EXPECT_EQ(line.str(),
@@ -230,22 +229,20 @@ TEST(SummarizeSpanForestTest, DetectsCrossProcessSpansAndCriticalPath) {
   // the cross-process edge — and the critical path runs through it.
   LogBuilder coord("coordinator");
   coord.Cycle(5)
-      .Emit("protocol", "sync_cycle_begin", -1,
-            {{"span", 1}, {"trigger", std::string("local_violation")}})
-      .Emit("transport", "msg_send", -1,
-            {{"type", std::string("ProbeRequest")},
+      .Emit(TraceEventId::kSyncCycleBegin, -1,
+            {{"span", 1}, {"trigger", "local_violation"}})
+      .Emit(TraceEventId::kMsgSend, -1,
+            {{"type", "ProbeRequest"},
              {"span", 2},
              {"parent", 1},
              {"bytes", 24}});
   LogBuilder site0("site-0");
-  site0.Cycle(5).Emit(
-      "transport", "msg_send", 0,
-      {{"type", std::string("DriftReport")}, {"span", 2}, {"parent", 1},
+  site0.Cycle(5).Emit(TraceEventId::kMsgSend, 0,
+      {{"type", "DriftReport"}, {"span", 2}, {"parent", 1},
        {"bytes", 48}});
   LogBuilder site1("site-1");
-  site1.Cycle(5).Emit(
-      "transport", "msg_send", 1,
-      {{"type", std::string("DriftReport")}, {"span", 2}, {"parent", 1},
+  site1.Cycle(5).Emit(TraceEventId::kMsgSend, 1,
+      {{"type", "DriftReport"}, {"span", 2}, {"parent", 1},
        {"bytes", 48}});
 
   const std::vector<TraceEvent> merged = MergeTraceTimelines(
@@ -267,8 +264,8 @@ TEST(SummarizeSpanForestTest, DetectsCrossProcessSpansAndCriticalPath) {
 
 TEST(SummarizeSpanForestTest, ReportsOrphans) {
   LogBuilder site("site-0");
-  site.Cycle(2).Emit("transport", "msg_send", 0,
-                     {{"type", std::string("DriftReport")},
+  site.Cycle(2).Emit(TraceEventId::kMsgSend, 0,
+                     {{"type", "DriftReport"},
                       {"span", 44},
                       {"parent", 99},  // parent never minted anywhere
                       {"bytes", 48}});

@@ -55,14 +55,15 @@ TEST(TraceSamplingTest, RateOneIsByteIdenticalToUnconfiguredLog) {
   sampled.ConfigureSampling(1.0, 42);
   for (TraceLog* log : {&legacy, &sampled}) {
     log->SetCycle(3);
-    log->Emit("protocol", "sync_cycle_begin", -1,
+    log->Emit(TraceEventId::kSyncCycleBegin, -1,
               {{"span", 17}, {"trigger", "local_alarm"}});
-    log->Emit("transport", "msg_send", -1,
+    log->Emit(TraceEventId::kMsgSend, -1,
               {{"type", "kProbeRequest"}, {"span", 18}, {"parent", 17},
                {"bytes", 48}});
-    log->Emit("reliability", "heartbeat", 4);
-    log->Emit("fault", "drop", 2, {{"type", "kReport"}});
-    log->Emit("audit", "audit_verdict", -1, {{"verdict", "tn"}});
+    log->Emit(TraceEventId::kHeartbeat, 4);
+    log->Emit(TraceEventId::kDrop, 2, {{"type", "kReport"}});
+    log->Emit(TraceEventId::kBoundViolation, -1,
+              {{"kind", "false_negative"}, {"span", 17}});
   }
   EXPECT_EQ(Jsonl(legacy), Jsonl(sampled));
   EXPECT_EQ(legacy.self_cost().events_recorded,
@@ -77,16 +78,16 @@ TEST(TraceSamplingTest, TaggedCascadesDropAndExemptCategoriesSurvive) {
   TraceLog log;
   log.ConfigureSampling(0.5, 42);
   const std::int64_t tagged = 21 | kSpanUnsampledBit;
-  log.Emit("protocol", "sync_cycle_begin", -1,
+  log.Emit(TraceEventId::kSyncCycleBegin, -1,
            {{"span", tagged}, {"trigger", "local_alarm"}});
-  log.Emit("transport", "msg_send", -1,
+  log.Emit(TraceEventId::kMsgSend, -1,
            {{"type", "kReport"}, {"span", 22 | kSpanUnsampledBit},
             {"parent", tagged}, {"bytes", 48}});
-  log.Emit("protocol", "sync_cycle_begin", -1,
+  log.Emit(TraceEventId::kSyncCycleBegin, -1,
            {{"span", 23}, {"trigger", "local_alarm"}});
-  log.Emit("alert", "alert_raised", -1,
-           {{"span", tagged}, {"signal", "transport.wire_messages"}});
-  log.Emit("recovery", "checkpoint_write", -1, {{"span", tagged}});
+  log.Emit(TraceEventId::kAlertRaised, -1,
+           {{"span", tagged}, {"metric", "transport.wire_messages"}});
+  log.Emit(TraceEventId::kCheckpointWrite, -1, {{"span", tagged}});
 
   const std::vector<TraceEvent> events = log.events();
   ASSERT_EQ(events.size(), 3u);

@@ -3,7 +3,12 @@
 
 #include "obs/trace.h"
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -11,6 +16,27 @@
 #include "core/crc32c.h"
 #include "gtest/gtest.h"
 #include "obs/json.h"
+
+namespace {
+
+// Every operator new in this binary is counted, so a test can assert that
+// a code path allocates nothing.
+std::atomic<long> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never sees free() meet a new-expression.
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace sgm {
 namespace {
@@ -35,24 +61,24 @@ void FillLargeTrace(TraceLog* log, int count) {
     const int actor = i % 129 - 1;
     switch (i % 4) {
       case 0:
-        log->Emit("transport", "msg_send", actor,
+        log->Emit(TraceEventId::kMsgSend, actor,
                   {{"type", "DriftReport"},
                    {"span", static_cast<std::int64_t>(i)},
                    {"parent", static_cast<std::int64_t>(i / 2)},
                    {"bytes", 64 + i % 7}});
         break;
       case 1:
-        log->Emit("reliability", "retransmit", actor,
+        log->Emit(TraceEventId::kRetransmit, actor,
                   {{"sender", actor},
                    {"seq", static_cast<std::int64_t>(i) * 3},
                    {"attempt", i % 4}});
         break;
       case 2:
-        log->Emit("fault", "delay", actor,
+        log->Emit(TraceEventId::kDelay, actor,
                   {{"type", "Ack \"quoted\""}, {"rounds", i % 3}});
         break;
       default:
-        log->Emit("protocol", "partial_resolution", actor,
+        log->Emit(TraceEventId::kPartialResolution, actor,
                   {{"estimate", i / 7.0}, {"scale", 1e-9 * i}});
         break;
     }
@@ -84,12 +110,47 @@ TEST(TraceLogTest, LargeTraceWritesPinnedJsonl) {
   EXPECT_EQ(text, rebuilt);
 }
 
+TEST(TraceLogTest, EmitDoesNotAllocatePerEvent) {
+  // A sampled-out emit touches no memory but the log's counters.
+  TraceLog sampled;
+  sampled.ConfigureSampling(0.1, 7);
+  long before = g_allocations.load();
+  for (int i = 0; i < 10000; ++i) {
+    sampled.Emit(TraceEventId::kMsgSend, i % 128,
+                 {{"type", "DriftReport"},
+                  {"span", static_cast<std::int64_t>(i) | kSpanUnsampledBit},
+                  {"bytes", 48}});
+  }
+  const long sampled_out_allocations = g_allocations.load() - before;
+  EXPECT_EQ(sampled_out_allocations, 0);
+  EXPECT_EQ(sampled.self_cost().events_sampled_out, 10000);
+
+  // A recorded emit allocates only when it opens a new arena chunk: each
+  // record is a 24-byte header plus 16 bytes per field, packed into
+  // 64 KiB chunks.
+  constexpr long kEvents = 100000;
+  constexpr long kRecordBytes = 24 + 3 * 16;
+  constexpr long kChunks = kEvents * kRecordBytes / (64 * 1024 - 16) + 1;
+  TraceLog recorded;
+  before = g_allocations.load();
+  for (long i = 0; i < kEvents; ++i) {
+    recorded.Emit(TraceEventId::kMsgSend, static_cast<int>(i % 128),
+                  {{"type", "DriftReport"},
+                   {"span", static_cast<std::int64_t>(i)},
+                   {"bytes", 48}});
+  }
+  const long recorded_allocations = g_allocations.load() - before;
+  EXPECT_EQ(recorded.size(), static_cast<std::size_t>(kEvents));
+  EXPECT_GT(recorded_allocations, 0);
+  EXPECT_LE(recorded_allocations, kChunks);
+}
+
 TEST(TraceLogTest, TimestampsAreMonotoneAndCycleStamped) {
   TraceLog log;
-  log.Emit("run", "run_begin", -1);
+  log.Emit(TraceEventId::kRunBegin, -1);
   log.SetCycle(7);
-  log.Emit("reliability", "heartbeat", 3);
-  log.Emit("protocol", "epoch_bump", -1, {{"epoch", 2}});
+  log.Emit(TraceEventId::kHeartbeat, 3);
+  log.Emit(TraceEventId::kEpochBump, -1, {{"epoch", 2}});
 
   const std::vector<TraceEvent> events = log.events();
   ASSERT_EQ(events.size(), 3u);
@@ -110,42 +171,42 @@ TEST(TraceLogTest, TimestampsAreMonotoneAndCycleStamped) {
 TEST(TraceLogTest, EveryCatalogEventValidatesAfterJsonlRoundTrip) {
   TraceLog log;
   log.SetCycle(12);
-  log.Emit("protocol", "local_alarm", 4);
-  log.Emit("protocol", "probe_begin", -1, {{"epoch", 3}});
-  log.Emit("protocol", "partial_resolution", -1);
-  log.Emit("protocol", "one_d_resolution", -1);
-  log.Emit("protocol", "full_sync_begin", -1, {{"epoch", 3}});
-  log.Emit("protocol", "full_sync_complete", -1,
+  log.Emit(TraceEventId::kLocalAlarm, 4);
+  log.Emit(TraceEventId::kProbeBegin, -1, {{"epoch", 3}});
+  log.Emit(TraceEventId::kPartialResolution, -1);
+  log.Emit(TraceEventId::kOneDResolution, -1);
+  log.Emit(TraceEventId::kFullSyncBegin, -1, {{"epoch", 3}});
+  log.Emit(TraceEventId::kFullSyncComplete, -1,
            {{"epoch", 3}, {"degraded", 0}});
-  log.Emit("protocol", "sync_rerequest", -1, {{"epoch", 3}, {"site", 2}});
-  log.Emit("protocol", "epoch_bump", -1, {{"epoch", 4}});
-  log.Emit("protocol", "anchor_applied", 2,
+  log.Emit(TraceEventId::kSyncRerequest, -1, {{"epoch", 3}, {"site", 2}});
+  log.Emit(TraceEventId::kEpochBump, -1, {{"epoch", 4}});
+  log.Emit(TraceEventId::kAnchorApplied, 2,
            {{"epoch", 4}, {"source", "new_estimate"}});
-  log.Emit("protocol", "epoch_gap", 2, {{"from_epoch", 2}, {"to_epoch", 4}});
-  log.Emit("protocol", "stale_epoch_drop", 2, {{"msg_epoch", 1}});
-  log.Emit("protocol", "late_report", -1, {{"site", 5}});
-  log.Emit("reliability", "heartbeat", 0);
-  log.Emit("reliability", "rejoin_request", 1);
-  log.Emit("reliability", "rejoin_grant", 1, {{"epoch", 4}});
-  log.Emit("reliability", "retransmit", 0,
+  log.Emit(TraceEventId::kEpochGap, 2, {{"from_epoch", 2}, {"to_epoch", 4}});
+  log.Emit(TraceEventId::kStaleEpochDrop, 2, {{"msg_epoch", 1}});
+  log.Emit(TraceEventId::kLateReport, -1, {{"site", 5}});
+  log.Emit(TraceEventId::kHeartbeat, 0);
+  log.Emit(TraceEventId::kRejoinRequest, 1);
+  log.Emit(TraceEventId::kRejoinGrant, 1, {{"epoch", 4}});
+  log.Emit(TraceEventId::kRetransmit, 0,
            {{"sender", 0}, {"seq", 17}, {"attempt", 2}});
-  log.Emit("reliability", "give_up", 0, {{"sender", 0}, {"seq", 17}});
-  log.Emit("reliability", "duplicate_suppressed", 3,
+  log.Emit(TraceEventId::kGiveUp, 0, {{"sender", 0}, {"seq", 17}});
+  log.Emit(TraceEventId::kDuplicateSuppressed, 3,
            {{"sender", 1}, {"seq", 9}});
-  log.Emit("failure", "heartbeat_miss", 6, {{"misses", 2}});
-  log.Emit("failure", "suspect", 6, {{"misses", 4}});
-  log.Emit("failure", "dead", 6, {{"deaths", 1}});
-  log.Emit("failure", "unreachable", 6);
-  log.Emit("failure", "quarantined", 6, {{"until_cycle", 40}});
-  log.Emit("failure", "rejoin_begin", 6);
-  log.Emit("failure", "rejoin_complete", 6);
-  log.Emit("fault", "site_crash", 8);
-  log.Emit("fault", "site_recover", 8);
-  log.Emit("fault", "drop", 8, {{"type", "Report"}});
-  log.Emit("fault", "duplicate", 8, {{"type", "Ack"}});
-  log.Emit("fault", "delay", 8, {{"type", "Probe"}, {"rounds", 2}});
-  log.Emit("run", "run_begin", -1);
-  log.Emit("run", "cell_begin", -1, {{"seed", 1}, {"drop", 0.3}});
+  log.Emit(TraceEventId::kHeartbeatMiss, 6, {{"misses", 2}});
+  log.Emit(TraceEventId::kSuspect, 6, {{"misses", 4}});
+  log.Emit(TraceEventId::kDead, 6, {{"deaths", 1}});
+  log.Emit(TraceEventId::kUnreachable, 6);
+  log.Emit(TraceEventId::kQuarantined, 6, {{"until_cycle", 40}});
+  log.Emit(TraceEventId::kRejoinBegin, 6);
+  log.Emit(TraceEventId::kRejoinComplete, 6);
+  log.Emit(TraceEventId::kSiteCrash, 8);
+  log.Emit(TraceEventId::kSiteRecover, 8);
+  log.Emit(TraceEventId::kDrop, 8, {{"type", "Report"}});
+  log.Emit(TraceEventId::kDuplicate, 8, {{"type", "Ack"}});
+  log.Emit(TraceEventId::kDelay, 8, {{"type", "Probe"}, {"rounds", 2}});
+  log.Emit(TraceEventId::kRunBegin, -1);
+  log.Emit(TraceEventId::kCellBegin, -1, {{"seed", 1}, {"drop", 0.3}});
 
   std::ostringstream out;
   log.WriteJsonl(out);
@@ -192,8 +253,8 @@ TEST(TraceValidatorTest, RejectsMalformedLines) {
 TEST(TraceLogTest, ChromeTraceParsesAndNamesThreads) {
   TraceLog log;
   log.SetCycle(5);
-  log.Emit("protocol", "epoch_bump", -1, {{"epoch", 1}});
-  log.Emit("reliability", "heartbeat", 2);
+  log.Emit(TraceEventId::kEpochBump, -1, {{"epoch", 1}});
+  log.Emit(TraceEventId::kHeartbeat, 2);
 
   std::ostringstream out;
   log.WriteChromeTrace(out);
@@ -218,6 +279,71 @@ TEST(TraceLogTest, ChromeTraceParsesAndNamesThreads) {
   EXPECT_DOUBLE_EQ(instant.Find("args")->NumberOr("cycle", -1), 5.0);
 }
 
+std::vector<std::string> BacktickedNames(const std::string& cell) {
+  std::vector<std::string> names;
+  std::size_t at = 0;
+  while ((at = cell.find('`', at)) != std::string::npos) {
+    const std::size_t end = cell.find('`', at + 1);
+    if (end == std::string::npos) break;
+    names.push_back(cell.substr(at + 1, end - at - 1));
+    at = end + 1;
+  }
+  return names;
+}
+
+// docs/OBSERVABILITY.md documents the catalog as a `| cat | name | required
+// args |` table; it must list exactly kTraceCatalog's events, categories
+// and required args (in order).
+TEST(TraceCatalogTest, DocsTableMatchesCatalog) {
+  std::ifstream docs(std::string(SGM_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  ASSERT_TRUE(docs) << "cannot open docs/OBSERVABILITY.md";
+  struct Row {
+    std::string cat;
+    std::vector<std::string> args;
+  };
+  std::map<std::string, Row> documented;
+  bool in_table = false;
+  std::string line;
+  while (std::getline(docs, line)) {
+    if (line.rfind("| cat | name | required args |", 0) == 0) {
+      in_table = true;
+      continue;
+    }
+    if (!in_table) continue;
+    if (line.rfind("|---", 0) == 0) continue;
+    if (line.rfind("|", 0) != 0) break;
+    std::vector<std::string> cells;
+    std::stringstream row(line.substr(1));
+    std::string cell;
+    while (std::getline(row, cell, '|')) cells.push_back(cell);
+    ASSERT_GE(cells.size(), 3u) << line;
+    std::string cat = cells[0];
+    cat.erase(0, cat.find_first_not_of(' '));
+    cat.erase(cat.find_last_not_of(' ') + 1);
+    for (const std::string& name : BacktickedNames(cells[1])) {
+      EXPECT_TRUE(documented.count(name) == 0) << "documented twice: " << name;
+      documented[name] = {cat, BacktickedNames(cells[2])};
+    }
+  }
+  ASSERT_FALSE(documented.empty()) << "event table not found";
+
+  EXPECT_EQ(documented.size(), std::size(kTraceCatalog));
+  for (const TraceEventSpec& spec : kTraceCatalog) {
+    const std::string name(spec.name);
+    const auto it = documented.find(name);
+    if (it == documented.end()) {
+      ADD_FAILURE() << "undocumented event: " << name;
+      continue;
+    }
+    EXPECT_EQ(it->second.cat, spec.category) << name;
+    std::vector<std::string> required;
+    for (const TraceKey key : spec.required) {
+      required.emplace_back(key.name());
+    }
+    EXPECT_EQ(it->second.args, required) << name;
+  }
+}
+
 TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {
   EXPECT_EQ(JsonEscape("plain"), "plain");
   EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
@@ -226,7 +352,7 @@ TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {
 
 TEST(TraceLogTest, JsonlEscapesStringArgs) {
   TraceLog log;
-  log.Emit("fault", "drop", 0, {{"type", "weird\"name"}});
+  log.Emit(TraceEventId::kDrop, 0, {{"type", "weird\"name"}});
   std::ostringstream out;
   log.WriteJsonl(out);
   std::string error;

@@ -36,10 +36,12 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/check.h"
 #include "core/rng.h"
 #include "data/jester_like.h"
 #include "data/synthetic.h"
@@ -67,6 +69,31 @@ constexpr long kSchemaVersion = 2;
 constexpr std::size_t kNumBuckets = 8;
 constexpr std::size_t kWindow = 50;
 constexpr double kThreshold = 5.0;
+
+/// Appends a decoded event to `log`, looking its name and keys up in the
+/// trace catalog; the log stamps its own ts and cycle.
+void Reemit(const sgm::TraceEvent& event, sgm::TraceLog* log) {
+  const std::optional<sgm::TraceEventId> id = sgm::FindTraceEvent(event.name);
+  SGM_CHECK(id.has_value());
+  std::vector<sgm::TraceField> fields;
+  fields.reserve(event.args.size());
+  for (const sgm::TraceArg& arg : event.args) {
+    const std::optional<sgm::TraceKey> key = sgm::TraceKey::Find(arg.key);
+    SGM_CHECK(key.has_value());
+    switch (arg.kind) {
+      case sgm::TraceArg::Kind::kInt:
+        fields.emplace_back(*key, arg.int_value);
+        break;
+      case sgm::TraceArg::Kind::kDouble:
+        fields.emplace_back(*key, arg.double_value);
+        break;
+      case sgm::TraceArg::Kind::kString:
+        fields.emplace_back(*key, log->Intern(arg.string_value));
+        break;
+    }
+  }
+  log->Emit(*id, event.actor, fields);
+}
 
 /// Runs one cell with a fresh Telemetry and prints its JSON record. The
 /// per-cell cost split is read back from the metric registry — the same
@@ -159,11 +186,11 @@ void RunCell(const Cell& cell, bool first, sgm::TraceLog* trace,
   if (trace != nullptr) {
     // Append this cell's events to the matrix-wide log (each cell's own
     // TraceLog restarts ts at 0; the cell_begin marker delimits them).
-    trace->Emit("run", "cell_begin", -1,
+    trace->Emit(sgm::TraceEventId::kCellBegin, -1,
                 {{"seed", static_cast<std::int64_t>(cell.seed)},
                  {"drop", cell.drop}});
     for (const sgm::TraceEvent& event : telemetry->trace.events()) {
-      trace->Emit(event.cat, event.name, event.actor, event.args);
+      Reemit(event, trace);
     }
   }
 }

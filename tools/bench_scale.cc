@@ -7,17 +7,22 @@
 //
 // The committed BENCH_scale.json at the repo root is the output of
 //   bench_scale > BENCH_scale.json
-// Wall-clock columns (wall_time_ms, updates_per_sec, ns_per_update,
-// sync_cycle_p*_ns, telemetry_overhead_pct) vary with the machine; CI gates
-// them loosely via tools/bench_drift_check --columns=ns_per_update,
-// sync_cycle_p99_ns --tolerance=3.0. Everything else (messages, bytes,
-// syncs, trace counters) is seed-deterministic.
+// Each row runs --repeat times. Wall-clock columns (wall_time_ms,
+// updates_per_sec, ns_per_update, sync_cycle_p*_ns, telemetry_ns,
+// telemetry_overhead_pct) report the median over the repeats, and the
+// `*_iqr` columns the distance between their quartiles; they vary with the
+// machine, and CI gates the medians loosely via tools/bench_drift_check
+// --columns=ns_per_update,sync_cycle_p99_ns --tolerance=3.0. Everything
+// else (messages, bytes, syncs, trace counters) is seed-deterministic in
+// sim rows: a repeat that disagrees with the first fails the run.
 //
 // Flags:
 //   --sites=a,b,c     site counts to sweep            [24,128,512,2048]
 //   --cycles=N        update cycles per row (0 = auto: fewer cycles at
 //                     larger N so the sweep stays minutes-bounded)   [0]
 //   --trace-sample=R  head-based trace sampling rate  [0.1]
+//   --repeat=K        runs per row; wall-clock columns report the median
+//                     and interquartile range over them             [5]
 //   --loopback        additionally run each site count ≤ --loopback-max
 //                     through the real-socket loopback runtime (one
 //                     CoordinatorServer + N SiteClient threads); rows get
@@ -49,7 +54,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Bump when per-row columns are added or renamed.
-constexpr long kSchemaVersion = 1;
+/// 1 = single-run rows; 2 = + repeat and the *_iqr columns, wall-clock
+/// columns as medians.
+constexpr long kSchemaVersion = 2;
 constexpr std::size_t kNumBuckets = 8;
 constexpr std::size_t kWindow = 50;
 constexpr double kThreshold = 5.0;
@@ -233,37 +240,102 @@ RowResult RunLoopbackRow(int sites, long cycles, std::uint64_t seed,
   return row;
 }
 
-void PrintRow(const char* mode, int sites, std::uint64_t seed,
-              double trace_sample, const RowResult& row, bool first) {
-  const long updates = static_cast<long>(sites) * row.cycles;
+/// The wall-clock columns of one run.
+struct Timing {
+  double wall_ms = 0.0;
+  double updates_per_sec = 0.0;
+  double ns_per_update = 0.0;
+  double p50_ns = 0.0;
+  double p95_ns = 0.0;
+  double p99_ns = 0.0;
+  double telemetry_ns = 0.0;
+  double overhead_pct = 0.0;
+};
+
+Timing TimingOf(int sites, const RowResult& row) {
+  Timing t;
+  const double updates = static_cast<double>(sites) * row.cycles;
   const double wall_ns = row.wall_ms * 1e6;
-  const double updates_per_sec =
-      row.wall_ms > 0.0 ? 1000.0 * static_cast<double>(updates) / row.wall_ms
-                        : 0.0;
-  const double ns_per_update =
-      updates > 0 ? wall_ns / static_cast<double>(updates) : 0.0;
-  const double telemetry_ns =
-      static_cast<double>(row.trace_cost.telemetry_ns);
-  const double overhead_pct =
-      wall_ns > 0.0 ? 100.0 * telemetry_ns / wall_ns : 0.0;
+  t.wall_ms = row.wall_ms;
+  t.updates_per_sec = row.wall_ms > 0.0 ? 1000.0 * updates / row.wall_ms : 0.0;
+  t.ns_per_update = updates > 0.0 ? wall_ns / updates : 0.0;
+  t.p50_ns = Percentile(row.cycle_ns, 0.50);
+  t.p95_ns = Percentile(row.cycle_ns, 0.95);
+  t.p99_ns = Percentile(row.cycle_ns, 0.99);
+  t.telemetry_ns = static_cast<double>(row.trace_cost.telemetry_ns);
+  t.overhead_pct = wall_ns > 0.0 ? 100.0 * t.telemetry_ns / wall_ns : 0.0;
+  return t;
+}
+
+/// Median and interquartile range of one wall-clock column over repeats.
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+Spread SpreadOf(const std::vector<Timing>& runs, double Timing::*column) {
+  std::vector<double> values;
+  values.reserve(runs.size());
+  for (const Timing& t : runs) values.push_back(t.*column);
+  return {Percentile(values, 0.50),
+          Percentile(values, 0.75) - Percentile(values, 0.25)};
+}
+
+/// True when two runs of one row agree on every seed-deterministic column.
+bool SameCounts(const RowResult& a, const RowResult& b) {
+  return a.cycles == b.cycles &&
+         a.paper_messages == b.paper_messages &&
+         a.paper_bytes == b.paper_bytes &&
+         a.transport_messages == b.transport_messages &&
+         a.transport_bytes == b.transport_bytes &&
+         a.full_syncs == b.full_syncs &&
+         a.partial_resolutions == b.partial_resolutions &&
+         a.trace_cost.events_emitted == b.trace_cost.events_emitted &&
+         a.trace_cost.events_recorded == b.trace_cost.events_recorded &&
+         a.trace_cost.events_sampled_out == b.trace_cost.events_sampled_out;
+}
+
+/// Prints one row: the count columns of `runs[0]` and the median / IQR of
+/// each wall-clock column over all runs.
+void PrintRow(const char* mode, int sites, std::uint64_t seed,
+              double trace_sample, const std::vector<RowResult>& runs,
+              bool first) {
+  const RowResult& row = runs.front();
+  std::vector<Timing> timings;
+  timings.reserve(runs.size());
+  for (const RowResult& run : runs) timings.push_back(TimingOf(sites, run));
+  const Spread wall = SpreadOf(timings, &Timing::wall_ms);
+  const Spread rate = SpreadOf(timings, &Timing::updates_per_sec);
+  const Spread per_update = SpreadOf(timings, &Timing::ns_per_update);
+  const Spread p50 = SpreadOf(timings, &Timing::p50_ns);
+  const Spread p95 = SpreadOf(timings, &Timing::p95_ns);
+  const Spread p99 = SpreadOf(timings, &Timing::p99_ns);
+  const Spread telemetry = SpreadOf(timings, &Timing::telemetry_ns);
+  const Spread overhead = SpreadOf(timings, &Timing::overhead_pct);
+  const long updates = static_cast<long>(sites) * row.cycles;
   std::printf(
       "%s  {\"seed\": %llu, \"drop\": 0.00, \"mode\": \"%s\","
-      " \"sites\": %d, \"cycles\": %ld, \"trace_sample\": %.2f,\n"
+      " \"sites\": %d, \"cycles\": %ld, \"trace_sample\": %.2f,"
+      " \"repeat\": %zu,\n"
       "   \"updates\": %ld, \"wall_time_ms\": %.1f,"
       " \"updates_per_sec\": %.0f, \"ns_per_update\": %.0f,\n"
       "   \"sync_cycle_p50_ns\": %.0f, \"sync_cycle_p95_ns\": %.0f,"
       " \"sync_cycle_p99_ns\": %.0f,\n"
+      "   \"updates_per_sec_iqr\": %.0f, \"ns_per_update_iqr\": %.0f,"
+      " \"sync_cycle_p50_ns_iqr\": %.0f, \"sync_cycle_p95_ns_iqr\": %.0f,"
+      " \"sync_cycle_p99_ns_iqr\": %.0f,\n"
       "   \"paper_messages\": %ld, \"paper_bytes\": %.0f,"
       " \"transport_messages\": %ld, \"transport_bytes\": %.0f,"
       " \"overhead_message_ratio\": %.4f,\n"
       "   \"full_syncs\": %ld, \"partial_resolutions\": %ld,\n"
       "   \"trace_events\": %ld, \"trace_recorded\": %ld,"
       " \"trace_sampled_out\": %ld, \"telemetry_ns\": %.0f,"
-      " \"telemetry_overhead_pct\": %.3f}",
+      " \"telemetry_overhead_pct\": %.3f,"
+      " \"telemetry_overhead_pct_iqr\": %.3f}",
       first ? "" : ",\n", static_cast<unsigned long long>(seed), mode, sites,
-      row.cycles, trace_sample, updates, row.wall_ms, updates_per_sec,
-      ns_per_update, Percentile(row.cycle_ns, 0.50),
-      Percentile(row.cycle_ns, 0.95), Percentile(row.cycle_ns, 0.99),
+      row.cycles, trace_sample, runs.size(), updates, wall.median,
+      rate.median, per_update.median, p50.median, p95.median, p99.median,
+      rate.iqr, per_update.iqr, p50.iqr, p95.iqr, p99.iqr,
       row.paper_messages, row.paper_bytes, row.transport_messages,
       row.transport_bytes,
       row.paper_messages > 0
@@ -272,7 +344,36 @@ void PrintRow(const char* mode, int sites, std::uint64_t seed,
           : 0.0,
       row.full_syncs, row.partial_resolutions, row.trace_cost.events_emitted,
       row.trace_cost.events_recorded, row.trace_cost.events_sampled_out,
-      telemetry_ns, overhead_pct);
+      telemetry.median, overhead.median, overhead.iqr);
+}
+
+template <typename Run>
+std::vector<RowResult> RunRepeated(int repeat, Run&& run) {
+  std::vector<RowResult> runs;
+  runs.reserve(static_cast<std::size_t>(repeat));
+  for (int i = 0; i < repeat; ++i) runs.push_back(run());
+  return runs;
+}
+
+/// True when every run succeeded and, for a seed-deterministic row,
+/// matched the first run on the count columns; reports the first problem
+/// on stderr.
+bool RunsAgree(const char* mode, int sites, bool deterministic,
+               const std::vector<RowResult>& runs) {
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (!runs[i].ok) {
+      std::fprintf(stderr, "%s row %d: run %zu failed\n", mode, sites, i);
+      return false;
+    }
+    if (deterministic && !SameCounts(runs.front(), runs[i])) {
+      std::fprintf(stderr,
+                   "%s row %d: run %zu disagrees with run 0 on a"
+                   " seed-deterministic column\n",
+                   mode, sites, i);
+      return false;
+    }
+  }
+  return true;
 }
 
 std::vector<int> ParseSitesList(const std::string& list) {
@@ -298,6 +399,7 @@ int main(int argc, char** argv) {
   double trace_sample = 0.1;
   bool loopback = false;
   int loopback_max = 128;
+  int repeat = 5;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--sites=", 0) == 0) {
@@ -310,6 +412,12 @@ int main(int argc, char** argv) {
       cycles_override = std::atol(arg.c_str() + std::strlen("--cycles="));
     } else if (arg.rfind("--trace-sample=", 0) == 0) {
       trace_sample = std::atof(arg.c_str() + std::strlen("--trace-sample="));
+    } else if (arg.rfind("--repeat=", 0) == 0) {
+      repeat = std::atoi(arg.c_str() + std::strlen("--repeat="));
+      if (repeat < 1) {
+        std::fprintf(stderr, "--repeat= needs a count >= 1\n");
+        return 2;
+      }
     } else if (arg == "--loopback") {
       loopback = true;
     } else if (arg.rfind("--loopback-max=", 0) == 0) {
@@ -331,9 +439,11 @@ int main(int argc, char** argv) {
     const long cycles =
         cycles_override > 0 ? cycles_override : CyclesFor(sites);
     const std::uint64_t seed = kSimSeedBase + static_cast<std::uint64_t>(sites);
-    const RowResult row = RunSimRow(sites, cycles, seed, trace_sample);
-    all_ok = all_ok && row.ok;
-    PrintRow("sim", sites, seed, trace_sample, row, first);
+    const std::vector<RowResult> runs = RunRepeated(repeat, [&] {
+      return RunSimRow(sites, cycles, seed, trace_sample);
+    });
+    all_ok = all_ok && RunsAgree("sim", sites, true, runs);
+    PrintRow("sim", sites, seed, trace_sample, runs, first);
     first = false;
   }
   if (loopback) {
@@ -349,9 +459,13 @@ int main(int argc, char** argv) {
       const long cycles = cycles_override > 0 ? cycles_override : 60;
       const std::uint64_t seed =
           kLoopbackSeedBase + static_cast<std::uint64_t>(sites);
-      const RowResult row = RunLoopbackRow(sites, cycles, seed, trace_sample);
-      all_ok = all_ok && row.ok;
-      PrintRow("loopback", sites, seed, trace_sample, row, first);
+      const std::vector<RowResult> runs = RunRepeated(repeat, [&] {
+        return RunLoopbackRow(sites, cycles, seed, trace_sample);
+      });
+      // Socket timing moves a loopback row's heartbeat and retransmit
+      // counts from run to run; its count columns are the first run's.
+      all_ok = all_ok && RunsAgree("loopback", sites, false, runs);
+      PrintRow("loopback", sites, seed, trace_sample, runs, first);
       first = false;
     }
   }

@@ -492,20 +492,17 @@ int main(int argc, char** argv) {
   }
 
   if (!options.chrome_out.empty()) {
-    // Replay the (filtered) events through a fresh log so WriteChromeTrace
-    // handles the formatting; Emit re-stamps ts sequentially, preserving
-    // the original order on the chrome timeline.
-    sgm::TraceLog log;
     std::ofstream out(options.chrome_out);
     if (!out) {
       std::fprintf(stderr, "cannot open %s\n", options.chrome_out.c_str());
       return 1;
     }
-    for (sgm::TraceEvent& event : events) {
-      log.SetCycle(event.cycle);
-      log.Emit(event.cat, event.name, event.actor, std::move(event.args));
+    // Re-stamp ts sequentially so the chrome timeline keeps the file's
+    // order even for merged or filtered input.
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      events[i].ts = static_cast<long>(i);
     }
-    log.WriteChromeTrace(out);
+    sgm::WriteChromeTrace(events, out);
     std::printf("wrote %zu events to %s\n", events.size(),
                 options.chrome_out.c_str());
     return 0;
